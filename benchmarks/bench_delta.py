@@ -5,9 +5,10 @@ Run after the benchmark suite has (re)written ``BENCH_kernel.json``::
     python benchmarks/bench_delta.py --baseline <committed> --current <fresh>
 
 Prints one table row per (kernel, benchmark) pair present in both
-files, comparing the recorded ``seconds`` (mean wall-clock).  Bitset
-rows regressing by more than the threshold (default 25%) emit a GitHub
-``::warning::`` annotation; the exit code is always 0 -- the CI job
+files, comparing the recorded ``median_seconds`` (median wall-clock
+per round; a mean drifts with a few slow rounds).  Bulk rows whose
+median regresses by more than the threshold (default 25%) emit a
+GitHub ``::warning::`` annotation; the exit code is always 0 -- the CI job
 wiring this up is deliberately non-blocking, the annotations are the
 signal.  New or vanished benchmarks are listed but never warn.
 """
@@ -20,10 +21,13 @@ import sys
 from pathlib import Path
 from typing import Dict, Tuple
 
-#: Kernel whose regressions produce warning annotations.  The bitset
-#: rows are the committed reference the bulk-kernel speedup targets are
-#: measured against, so silent drift there invalidates the targets.
-WARN_KERNEL = "bitset"
+#: Kernel whose regressions produce warning annotations: the default
+#: kernel, the one every caller runs unless it selects the naive
+#: reference.
+WARN_KERNEL = "bulk"
+
+#: The per-row statistic compared between the two files.
+STAT = "median_seconds"
 
 
 def load(path: Path) -> Dict[str, Dict[str, dict]]:
@@ -45,8 +49,8 @@ def iter_rows(
             base = base_entries.get(name)
             if not isinstance(base, dict) or not isinstance(entry, dict):
                 continue
-            before = base.get("seconds")
-            after = entry.get("seconds")
+            before = base.get(STAT)
+            after = entry.get(STAT)
             if isinstance(before, (int, float)) and isinstance(
                 after, (int, float)
             ):

@@ -147,13 +147,13 @@ def test_s9_bulk_image_table(benchmark):
 
 
 def test_s9_per_state_image_table(benchmark):
-    """The same table computed state by state (bitset/naive path)."""
+    """The same table computed state by state (the naive path)."""
     chain, space = image_table_fixture()
     benchmark.extra_info["ldb"] = len(space.states)
-    benchmark.extra_info["kernel"] = "bitset"
+    benchmark.extra_info["kernel"] = "naive"
 
     def kernel():
-        with use_kernel("bitset"):
+        with use_kernel("naive"):
             view = chain.component_view([0])
             return len(view.image_table(space))
 
@@ -164,6 +164,6 @@ def test_s9_image_tables_agree():
     chain, space = image_table_fixture()
     with use_kernel("bulk"):
         bulk = chain.component_view([0]).image_table(space)
-    with use_kernel("bitset"):
-        bitset = chain.component_view([0]).image_table(space)
-    assert bulk == bitset
+    with use_kernel("naive"):
+        naive = chain.component_view([0]).image_table(space)
+    assert bulk == naive

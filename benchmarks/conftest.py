@@ -8,8 +8,8 @@ A ``pytest_sessionfinish`` hook persists every benchmark run to
 ``BENCH_kernel.json`` at the repo root -- per-bench wall-clock, any
 ``extra_info`` the bench recorded (notably ``ldb``, the state-space
 size), and the active kernel mode.  The file is merged across runs and
-keyed by kernel mode, so running the suite under ``REPRO_KERNEL=bitset``
-and ``REPRO_KERNEL=naive`` yields side-by-side baselines.
+keyed by kernel mode, so running the suite under the default kernel and
+under ``REPRO_KERNEL=naive`` yields side-by-side baselines.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ View Update Support through Boolean Algebras of Components* (PODS
 * strong views, the **component algebra**, constant-complement update
   translation, and Update Procedure 3.2.3 (:mod:`repro.core`);
 * null-padded chain decompositions (:mod:`repro.decomposition`);
-* the bitset state-space kernel: integer-encoded instances backing the
+* the bulk state-space kernel: integer-encoded instances backing the
   enumeration, poset, and component-discovery hot paths
   (:mod:`repro.kernel`, escape hatch ``REPRO_KERNEL=naive``);
 * baseline strategies, workloads, and the experiment harness

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import NotStrongError, ReproError
 from repro.algebra.morphisms import PosetMorphism
 from repro.algebra.poset import FinitePoset
-from repro.kernel.config import bulk_enabled, fast_kernel_enabled
+from repro.kernel.config import bulk_enabled
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance
 from repro.views.view import View
@@ -46,7 +46,7 @@ class StrongViewAnalysis:
     sharp: Optional[Dict[DatabaseInstance, DatabaseInstance]] = None
     #: ``gamma^Theta : base state -> base state`` (None unless strong-ish).
     theta: Optional[Dict[DatabaseInstance, DatabaseInstance]] = None
-    #: Memoized :meth:`theta_key` (the bitset kernel seeds it directly).
+    #: Memoized :meth:`theta_key` (the bulk kernel seeds it directly).
     _theta_key_cache: Optional[Tuple[int, ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -141,7 +141,7 @@ class StrongViewAnalysis:
 
 def image_poset(view: View, space: StateSpace) -> FinitePoset:
     """The view states under relation-wise inclusion."""
-    if fast_kernel_enabled():
+    if bulk_enabled():
         from repro.kernel.strongfast import image_poset_bitset
 
         return image_poset_bitset(view.image_states(space))
@@ -158,19 +158,14 @@ def analyze_view(view: View, space: StateSpace) -> StrongViewAnalysis:
     holds by construction and is not a separate condition here.
 
     Under the bulk kernel (the default) the analysis runs on word-packed
-    mask families; the bitset kernel runs it on down-set masks and index
-    vectors (:mod:`repro.kernel.strongfast`); set ``REPRO_KERNEL=naive``
-    for the original tuple-by-tuple predicates.  All three produce
-    identical analyses (enforced by ``tests/kernel/``).
+    mask families (:mod:`repro.kernel.strongfast`); set
+    ``REPRO_KERNEL=naive`` for the original tuple-by-tuple predicates.
+    Both produce identical analyses (enforced by ``tests/kernel/``).
     """
     if bulk_enabled():
         from repro.kernel.strongfast import analyze_view_bulk
 
         return analyze_view_bulk(view, space)
-    if fast_kernel_enabled():
-        from repro.kernel.strongfast import analyze_view_bitset
-
-        return analyze_view_bitset(view, space)
     target = image_poset(view, space)
     table = {
         state: image

@@ -36,35 +36,16 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
 from repro.engine.backends.base import GetResult, PutResult, RetryPolicy
 from repro.engine.backends.envelope import unwrap_payload, wrap_payload
 from repro.engine.keys import ArtifactKey
 from repro.errors import BackendUnavailableError
 from repro.resilience.faults import fault_check, fault_corrupt
-from repro.resilience.locks import FileLease, sweep_stale_lockfiles
+from repro.resilience.locks import FileLease
 
-__all__ = ["SQLiteBackend", "reset_lease_sweep_registry"]
-
-#: Lease directories already swept by this process, so the open-time
-#: dead-holder sweep is one-shot per database instead of per instance.
-#: Re-sweeping on every ``open()`` is not just wasted I/O: a fleet of
-#: forked workers opening the same database concurrently races its
-#: sweeps against siblings' fresh lease acquisitions over the same
-#: lockfile paths (the double-delete race the payload re-read guard in
-#: :func:`~repro.resilience.locks.sweep_stale_lockfiles` narrows).
-#: One-shot-per-path removes the systematic trigger; the explicit
-#: :meth:`SQLiteBackend.sweep` stays unconditional for callers that
-#: want an eager reclaim.
-_SWEPT_LEASE_DIRS: Set[str] = set()
-_SWEPT_LEASE_DIRS_LOCK = threading.Lock()
-
-
-def reset_lease_sweep_registry() -> None:
-    """Forget which lease dirs were swept (tests of the contract)."""
-    with _SWEPT_LEASE_DIRS_LOCK:
-        _SWEPT_LEASE_DIRS.clear()
+__all__ = ["SQLiteBackend"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -100,17 +81,13 @@ class SQLiteBackend:
         self._retry = RetryPolicy(io_attempts, io_backoff, sleep)
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_lock = threading.Lock()
-        #: Stale lease lockfiles reclaimed by :meth:`open`/:meth:`sweep`.
-        self.sweep_reclaimed = 0
 
     # -- lifecycle ------------------------------------------------------------
 
     def open(self) -> None:
-        """Connect, migrate the schema, and sweep dead holders' leases.
+        """Connect and migrate the schema.
 
-        The lease sweep runs once per database path per process (see
-        :data:`_SWEPT_LEASE_DIRS`); later opens of the same database
-        skip it.  Any failure -- unreachable path, corrupt database, injected
+        Any failure -- unreachable path, corrupt database, injected
         fault -- surfaces as the one typed error the protocol allows,
         :class:`~repro.errors.BackendUnavailableError`; the store
         degrades to memory-only.
@@ -146,12 +123,6 @@ class SQLiteBackend:
                 f" {type(exc).__name__}: {exc}"
             ) from exc
         self._conn = conn
-        lease_dir = str(self._lease_dir())
-        with _SWEPT_LEASE_DIRS_LOCK:
-            first_opener = lease_dir not in _SWEPT_LEASE_DIRS
-            _SWEPT_LEASE_DIRS.add(lease_dir)
-        if first_opener:
-            self.sweep_reclaimed += sweep_stale_lockfiles(lease_dir)
 
     def close(self) -> None:
         """Release the connection (idempotent; mostly for tests)."""
@@ -246,16 +217,19 @@ class SQLiteBackend:
             pass
 
     def sweep(self) -> int:
-        """Reclaim lease lockfiles left behind by dead holders."""
-        reclaimed = sweep_stale_lockfiles(str(self._lease_dir()))
-        self.sweep_reclaimed += reclaimed
-        return reclaimed
+        """Reclaim nothing; always 0.
+
+        Rows are written in one transaction, and :class:`FileLease`
+        takes over a dead holder's lockfile when the next contender
+        asks for it, so no leftovers need an eager sweep.
+        """
+        return 0
 
     def stats(self) -> Dict[str, object]:
         return {
             "name": self.name,
             "url": self.url,
-            "sweep_reclaimed": self.sweep_reclaimed,
+            "sweep_reclaimed": 0,
         }
 
     def lease_for(self, key: ArtifactKey) -> Optional[FileLease]:

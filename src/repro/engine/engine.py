@@ -30,8 +30,8 @@ Every derivation runs through the resilience layer:
   that the hot loops check cooperatively, raising a typed
   :class:`~repro.errors.DeadlineExceededError` instead of hanging;
 * an *unexpected* (non-:class:`~repro.errors.ReproError`) crash inside
-  a fast-kernel derivation is retried on the next rung down -- the
-  degradation ladder bulk -> bitset -> naive -> typed
+  a bulk-kernel derivation is retried on the naive kernel -- the
+  degradation ladder bulk -> naive -> typed
   :class:`~repro.errors.KernelFailureError` carrying every traceback --
   with each non-final crash counted in the store's per-kind
   ``degradations`` stat;
@@ -77,7 +77,7 @@ from repro.errors import (
     UnexpectedFailureError,
     UpdateRejected,
 )
-from repro.kernel.config import BITSET, BULK, NAIVE, kernel_mode, use_kernel
+from repro.kernel.config import BULK, NAIVE, kernel_mode, use_kernel
 from repro.resilience.breaker import PINNED, CircuitBreaker
 from repro.resilience.guard import (
     ExecutionGuard,
@@ -103,7 +103,7 @@ __all__ = [
 
 #: The degradation ladder, fastest rung first.  A derivation starts on
 #: the active kernel mode's rung and falls through the rest.
-_LADDER: Tuple[str, ...] = (BULK, BITSET, NAIVE)
+_LADDER: Tuple[str, ...] = (BULK, NAIVE)
 
 
 def _ladder_failure_message(kind: str, rungs: Tuple[str, ...]) -> str:
@@ -113,14 +113,9 @@ def _ladder_failure_message(kind: str, rungs: Tuple[str, ...]) -> str:
             f"naive-kernel derivation of {kind!r} failed unexpectedly "
             "(no degradation rung below the naive kernel)"
         )
-    if rungs == (BITSET, NAIVE):
-        return (
-            f"derivation of {kind!r} failed under the bitset kernel "
-            "and again under the naive kernel"
-        )
     return (
-        f"derivation of {kind!r} failed under the bulk kernel, again "
-        "under the bitset kernel, and again under the naive kernel"
+        f"derivation of {kind!r} failed under the bulk kernel "
+        "and again under the naive kernel"
     )
 
 
@@ -230,16 +225,16 @@ class Engine:
         (pin-naive mode), skipping the ladder entirely.
 
         Admitted builds run the ladder from the active kernel mode down:
-        bulk -> bitset -> naive.  Typed :class:`ReproError`\\ s pass
-        straight through (they are already fail-closed).  An
-        *unexpected* exception on a non-final rung triggers one retry on
-        the rung below (the kernels are semantically equivalent, so the
-        degraded artifact is valid under the original key) and is
-        counted in the store's ``degradations`` stat; when the final
-        rung also crashes -- or the naive kernel crashed with no rung
-        left below it -- a :class:`KernelFailureError` carries every
-        traceback out.  The breaker hears about every outcome: clean
-        success, degraded success, or kernel failure.
+        bulk -> naive.  Typed :class:`ReproError`\\ s pass straight
+        through (they are already fail-closed).  An *unexpected*
+        exception on the bulk rung triggers one retry on the naive rung
+        (the kernels are semantically equivalent, so the degraded
+        artifact is valid under the original key) and is counted in the
+        store's ``degradations`` stat; when the naive rung also crashes
+        -- or the naive kernel crashed with no rung left below it -- a
+        :class:`KernelFailureError` carries every traceback out.  The
+        breaker hears about every outcome: clean success, degraded
+        success, or kernel failure.
         """
 
         def build() -> object:
@@ -270,7 +265,6 @@ class Engine:
                                 _ladder_failure_message(kind, rungs),
                                 kind=kind,
                                 bulk_traceback=tracebacks.get(BULK, ""),
-                                bitset_traceback=tracebacks.get(BITSET, ""),
                                 naive_traceback=tracebacks.get(NAIVE, ""),
                             ) from None
                         self.store.record_degradation(kind)
@@ -289,7 +283,7 @@ class Engine:
     ) -> object:
         """Build directly on the naive rung (open circuit, pin-naive).
 
-        The doomed bitset attempt is skipped, so the request is served
+        The doomed bulk attempt is skipped, so the request is served
         degraded without re-paying the crash; counted under the store's
         ``degradations`` stat like any other naive-served build.  A
         pinned success does *not* close the circuit -- only a half-open

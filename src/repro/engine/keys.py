@@ -19,7 +19,7 @@ class ArtifactKey:
 
     ``kind`` names the derivation ("space", "analysis", ...); the
     fingerprint hashes the inputs; ``kernel`` records the active
-    computation mode, since bitset- and naive-built structures may
+    computation mode, since bulk- and naive-built structures may
     differ representationally even when semantically equal.
     """
 

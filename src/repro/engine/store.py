@@ -44,9 +44,10 @@ processes:
   around each persisted build, so a second process waits for the
   winner and then reads its envelope from the backend instead of
   rebuilding (``lease_waits`` / ``lease_takeovers`` /
-  ``lease_timeouts`` counters); stale leases are taken over after
-  ``REPRO_CACHE_LOCK_TTL_MS``, and backend ``open()`` sweeps dead
-  writers' leftovers one-shot per path.
+  ``lease_timeouts`` counters); a dead holder's lease is taken over
+  at once and a silent one after ``REPRO_CACHE_LOCK_TTL_MS``, and the
+  local-dir backend's ``open()`` sweeps dead writers' temp files
+  one-shot per path.
 
 The store is deliberately ignorant of *what* it caches: builders are
 supplied by the :class:`~repro.engine.engine.Engine`, which owns the
@@ -113,7 +114,7 @@ class KindStats:
     corrupt_entries: int = 0
     #: Transient I/O-error retries on backend load/save.
     io_retries: int = 0
-    #: Bitset-kernel derivations retried under the naive kernel.
+    #: Bulk-kernel derivations retried under the naive kernel.
     degradations: int = 0
     #: Derivations cancelled by an :class:`ExecutionGuard`.
     deadline_hits: int = 0
@@ -519,7 +520,7 @@ class ArtifactStore:
             self._stats.clear()
 
     def record_degradation(self, kind: str) -> None:
-        """Count one bitset -> naive degradation for *kind*."""
+        """Count one bulk -> naive degradation for *kind*."""
         with self._lock:
             self._stats.setdefault(kind, KindStats()).degradations += 1
 

@@ -191,18 +191,17 @@ class DeadlineExceededError(ResilienceError):
 class KernelFailureError(ResilienceError):
     """A kernel derivation crashed with an unexpected exception.
 
-    The engine's degradation ladder (bulk -> bitset -> naive -> typed
-    failure) raises this only after every rung below the starting
-    kernel also failed -- or when the naive kernel, with no rung left
-    below it, crashed directly.  Every traceback is carried so the
-    underlying defect is not lost.
+    The engine's degradation ladder (bulk -> naive -> typed failure)
+    raises this only after the naive rung below the bulk kernel also
+    failed -- or when the naive kernel, with no rung left below it,
+    crashed directly.  Every traceback is carried so the underlying
+    defect is not lost.
     """
 
     def __init__(
         self,
         message: str,
         kind: str = "",
-        bitset_traceback: str = "",
         naive_traceback: str = "",
         bulk_traceback: str = "",
     ) -> None:
@@ -212,9 +211,6 @@ class KernelFailureError(ResilienceError):
         #: Formatted traceback of the bulk-kernel failure ("" if the
         #: bulk kernel was never involved).
         self.bulk_traceback = bulk_traceback
-        #: Formatted traceback of the bitset-kernel failure ("" if the
-        #: bitset kernel was never involved).
-        self.bitset_traceback = bitset_traceback
         #: Formatted traceback of the naive-kernel failure.
         self.naive_traceback = naive_traceback
 
@@ -227,7 +223,7 @@ class CircuitOpenError(ResilienceError):
     :class:`~repro.resilience.breaker.CircuitBreaker` stops re-running
     the degradation ladder and raises this instead -- a deterministic
     crash re-crashing on every request would otherwise burn a full
-    bitset + naive build per caller.  The breaker re-probes after a
+    bulk + naive build per caller.  The breaker re-probes after a
     cooldown (half-open), and :meth:`Engine.reset_breaker` clears it
     manually.
     """

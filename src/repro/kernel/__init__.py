@@ -1,4 +1,4 @@
-"""The mask-based state-space kernels (bulk and bitset).
+"""The mask-based state-space kernel (bulk).
 
 Every analysis in the library -- enumeration of ``LDB(D, mu)``, the
 ⊥-poset of states, kernels, strongness, component discovery -- bottoms
@@ -17,10 +17,9 @@ the hot paths (``enumerate_instances``, ``StateSpace.poset``,
 arithmetic.  Modules:
 
 * :mod:`~repro.kernel.config` -- kernel-mode selection.  The
-  ``REPRO_KERNEL`` environment variable (``bulk``, the default,
-  ``bitset``, or ``naive``) is the escape hatch back to the simpler
-  implementations; :func:`use_kernel` overrides it per test, and
-  ``REPRO_KERNEL_BULK=0`` downgrades bulk to bitset everywhere.
+  ``REPRO_KERNEL`` environment variable (``bulk``, the default, or
+  ``naive``) is the escape hatch back to the reference
+  implementation; :func:`use_kernel` overrides it per test.
 * :mod:`~repro.kernel.bitspace` -- :class:`TupleCodec`, the
   instance <-> bitmask round trip.
 * :mod:`~repro.kernel.bulkops` -- word-packed bulk primitives: the
@@ -30,10 +29,9 @@ arithmetic.  Modules:
 * :mod:`~repro.kernel.enumfast` -- per-relation constraints (FDs, JDs,
   typed columns) precompiled to mask predicates for enumeration.
 * :mod:`~repro.kernel.strongfast` -- the strong-view analysis computed
-  on index vectors and down-set masks (bitset) or word-packed pulled
-  selectors (bulk).
+  on index vectors, fiber masks and word-packed pulled selectors.
 
-An equivalence test suite (``tests/kernel/``) asserts all kernels
+An equivalence test suite (``tests/kernel/``) asserts both kernels
 produce identical state spaces, kernels, endomorphism tables, and
 component algebras on the paper scenarios.
 """

@@ -1,10 +1,10 @@
 """Word-packed bulk bitwise primitives (the ``bulk`` kernel's core).
 
-The bitset kernel (PR 1) already encodes each state as one Python int,
-but its derivations still run *per-state* Python loops over those ints.
-This module packs whole families of masks into single wide integers and
-replaces the inner loops with O(words) sweeps of ``&``/``|``/``^``/
-``bit_count``:
+The mask encoding (:mod:`repro.kernel.bitspace`) turns each state into
+one Python int, but per-state Python loops over those ints would still
+dominate the derivations.  This module packs whole families of masks
+into single wide integers and replaces the inner loops with O(words)
+sweeps of ``&``/``|``/``^``/``bit_count``:
 
 * :func:`transpose_masks` -- a packed square bit-matrix transpose via
   the classic log-depth block-swap, used to derive a poset's up-matrix
@@ -29,7 +29,7 @@ deterministically ordered family (state order for state spaces, slot
 order for codecs), and packed matrices are row-major with a
 power-of-two row stride.  Nothing here changes what is *computed* --
 only how -- so fingerprints, artifact keys, and every table are
-byte-identical to the bitset and naive kernels.
+byte-identical to the naive kernel's.
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ def pullback_monotone(
     so the whole check is O(n) mask ops plus O(m * m-popcount) selector
     unions, instead of a Python step per comparable pair.
 
-    Equivalent to the bitset kernel's comparable-pair walk (incomparable
-    pairs impose no condition; ``y`` itself is always in ``pull[f(y)]``).
+    Equivalent to a walk over every comparable pair (incomparable pairs
+    impose no condition; ``y`` itself is always in ``pull[f(y)]``).
     """
     selectors = fiber_masks(fidx, len(below_target))
     # Targets outside the image have empty selectors; restricting each

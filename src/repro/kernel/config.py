@@ -1,13 +1,13 @@
-"""Kernel-mode selection: ``bulk`` (default) vs ``bitset`` vs ``naive``.
+"""Kernel-mode selection: ``bulk`` (default) vs ``naive``.
 
-The fast kernels are pure optimisations -- all modes compute the same
+The bulk kernel is a pure optimisation -- both modes compute the same
 state spaces, posets, tables, and algebras, and the equivalence suite
-enforces that.  Three rungs exist:
+enforces that.  Two rungs exist:
 
-* ``bulk`` (the default) -- word-packed bulk bitwise passes
+* ``bulk`` (the default) -- instances encoded as bitmasks
+  (:mod:`repro.kernel.bitspace`) and word-packed bulk bitwise passes
   (:mod:`repro.kernel.bulkops`): whole-table sweeps of ``&``/``|``/
   ``^``/``bit_count`` over wide Python ints;
-* ``bitset`` -- per-state mask arithmetic (the PR-1 kernel);
 * ``naive`` -- the original tuple-by-tuple code, kept as the reference
   implementation and the bottom rung of the degradation ladder.
 
@@ -19,12 +19,6 @@ or, programmatically and temporarily, with::
 
     with use_kernel("naive"):
         ...
-
-``REPRO_KERNEL_BULK=0`` (also ``off``/``false``/``no``) is the bulk
-kill switch: it downgrades the bulk kernel to ``bitset`` everywhere --
-including explicit ``REPRO_KERNEL=bulk`` / ``use_kernel("bulk")``
-requests -- so an operator can disable the bulk passes without touching
-code or test parametrisations.
 """
 
 from __future__ import annotations
@@ -36,14 +30,10 @@ from typing import Iterator, Optional
 from repro.errors import ReproError
 
 KERNEL_ENV_VAR = "REPRO_KERNEL"
-#: Kill switch for the bulk kernel (``0``/``off``/``false``/``no``).
-BULK_ENV_VAR = "REPRO_KERNEL_BULK"
 
 BULK = "bulk"
-BITSET = "bitset"
 NAIVE = "naive"
-_VALID_MODES = (BULK, BITSET, NAIVE)
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
+_VALID_MODES = (BULK, NAIVE)
 
 #: Process-local override installed by :func:`use_kernel`; wins over the
 #: environment variable while active.
@@ -60,48 +50,21 @@ def _validated(mode: str, origin: str) -> str:
     return normalized
 
 
-def bulk_kill_switch_active() -> bool:
-    """True iff ``REPRO_KERNEL_BULK`` disables the bulk kernel."""
-    raw = os.environ.get(BULK_ENV_VAR)
-    return raw is not None and raw.strip().lower() in _DISABLED_VALUES
-
-
 def kernel_mode() -> str:
-    """The active kernel mode: ``"bulk"``, ``"bitset"``, or ``"naive"``.
+    """The active kernel mode: ``"bulk"`` or ``"naive"``.
 
     Resolution order: :func:`use_kernel` override, then the
     ``REPRO_KERNEL`` environment variable, then the default ``bulk``.
-    The ``REPRO_KERNEL_BULK`` kill switch downgrades a resolved ``bulk``
-    to ``bitset`` regardless of where it came from.
     """
     if _override is not None:
-        mode = _override
-    else:
-        env = os.environ.get(KERNEL_ENV_VAR)
-        mode = BULK if env is None else _validated(env, f"${KERNEL_ENV_VAR}")
-    if mode == BULK and bulk_kill_switch_active():
-        return BITSET
-    return mode
-
-
-def bitset_enabled() -> bool:
-    """True iff the bitset kernel (exactly) is active."""
-    return kernel_mode() == BITSET
+        return _override
+    env = os.environ.get(KERNEL_ENV_VAR)
+    return BULK if env is None else _validated(env, f"${KERNEL_ENV_VAR}")
 
 
 def bulk_enabled() -> bool:
     """True iff the bulk kernel is active."""
     return kernel_mode() == BULK
-
-
-def fast_kernel_enabled() -> bool:
-    """True iff any mask-based kernel (bulk or bitset) is active.
-
-    Call sites that only care about "masks vs frozensets" (state-space
-    enumeration, poset construction) branch on this; call sites with a
-    dedicated bulk twin branch on the exact mode.
-    """
-    return kernel_mode() != NAIVE
 
 
 @contextmanager

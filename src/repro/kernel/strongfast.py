@@ -8,18 +8,13 @@ arithmetic over the state-space poset's down-set masks:
 
 * the image poset is built from instance bitmasks
   (:meth:`FinitePoset.from_masks`), not ``n^2`` ``issubset`` calls;
-* monotonicity (of ``gamma'`` and of ``gamma#``) walks only the
-  *comparable* pairs -- the set bits of each down-set mask -- testing
-  one bit of the target's order matrix per pair;
+* monotonicity (of ``gamma'`` and of ``gamma#``) is the word-packed
+  pulled-selector test of :func:`repro.kernel.bulkops.pullback_monotone`
+  -- one mask containment per state instead of a Python step per
+  comparable pair;
 * least preimages come from fiber masks: the least element of a fiber
   is the member whose down-set covers the whole fiber;
 * downward stationarity is one mask-containment pass over ``lp``.
-
-Two entry points share the body: :func:`analyze_view_bitset` (the PR-1
-kernel) and :func:`analyze_view_bulk`, which additionally replaces the
-comparable-pair walks with the word-packed pulled-selector test of
-:func:`repro.kernel.bulkops.pullback_monotone` -- one mask containment
-per state instead of a Python step per comparable pair.
 
 The resulting predicate values are seeded into the
 :class:`~repro.algebra.morphisms.PosetMorphism` caches so later calls
@@ -35,7 +30,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     cast,
 )
@@ -53,50 +47,11 @@ if TYPE_CHECKING:
     from repro.views.view import View
 
 
-def _monotone_on_comparable_pairs(
-    below_source: Sequence[int],
-    below_target: Sequence[int],
-    fidx: Sequence[int],
-) -> bool:
-    """``x <= y  =>  f(x) <= f(y)``, checked on comparable pairs only.
-
-    Sound and complete: incomparable pairs impose no condition, so
-    walking the set bits of each down-set mask covers the whole
-    definition without the naive all-pairs sweep.
-    """
-    ticker = StrideTicker()
-    for y, below_y in enumerate(below_source):
-        ticker.tick()
-        target_row = below_target[fidx[y]]
-        probe = below_y & ~(1 << y)
-        while probe:  # reprolint: holds-guard -- bounded by the row
-            # popcount; the enclosing per-state loop is stride-ticked
-            x = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            if not (target_row >> fidx[x]) & 1:
-                ticker.flush()
-                return False
-    ticker.flush()
-    return True
-
-
 def image_poset_bitset(states: Iterable[DatabaseInstance]) -> FinitePoset:
     """The ⊥-poset of a family of instances, via bitmask encoding."""
     ordered = tuple(states)
     codec = TupleCodec.from_instances(ordered)
     return FinitePoset.from_masks(ordered, codec.encode_all(ordered))
-
-
-def analyze_view_bitset(view: View, space: StateSpace) -> StrongViewAnalysis:
-    """Bitset-kernel twin of :func:`repro.core.strong.analyze_view`."""
-    fault_check("kernel.analysis")
-    return _analyze_view_fast(view, space, bulk=False)
-
-
-def analyze_view_bulk(view: View, space: StateSpace) -> StrongViewAnalysis:
-    """Bulk-kernel twin: word-packed monotonicity and fiber passes."""
-    fault_check("kernel.bulk")
-    return _analyze_view_fast(view, space, bulk=True)
 
 
 def _analyze_identity_like(
@@ -143,10 +98,11 @@ def _analyze_identity_like(
     return analysis
 
 
-def _analyze_view_fast(
-    view: View, space: StateSpace, bulk: bool
-) -> StrongViewAnalysis:
+def analyze_view_bulk(view: View, space: StateSpace) -> StrongViewAnalysis:
+    """Bulk-kernel twin of :func:`repro.core.strong.analyze_view`."""
     from repro.core.strong import StrongViewAnalysis
+
+    fault_check("kernel.analysis")
 
     states = space.states
     n = len(states)
@@ -165,10 +121,7 @@ def _analyze_view_fast(
     table: Dict[Hashable, Hashable] = dict(zip(states, raw_table))
     morphism = PosetMorphism(source, target, table)
 
-    if bulk:
-        is_monotone = pullback_monotone(below_s, below_t, fidx)
-    else:
-        is_monotone = _monotone_on_comparable_pairs(below_s, below_t, fidx)
+    is_monotone = pullback_monotone(below_s, below_t, fidx)
     morphism._cache["monotone"] = is_monotone
 
     preserves_bottom = (
@@ -220,12 +173,7 @@ def _analyze_view_fast(
             Dict[DatabaseInstance, DatabaseInstance], sharp_map
         )
         sharp = PosetMorphism(target, source, sharp_map)
-        if bulk:
-            sharp_order_ok = pullback_monotone(below_t, below_s, sharp_idx)
-        else:
-            sharp_order_ok = _monotone_on_comparable_pairs(
-                below_t, below_s, sharp_idx
-            )
+        sharp_order_ok = pullback_monotone(below_t, below_s, sharp_idx)
         sharp._cache["monotone"] = sharp_order_ok
         # `sharp_is_monotone` mirrors the naive path's sharp.is_morphism():
         # monotone *and* bottom-preserving.

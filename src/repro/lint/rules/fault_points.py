@@ -22,10 +22,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.lint.astutil import dotted_name
 from repro.lint.findings import Finding
 from repro.lint.project import Project, SourceFile
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import dotted_name
 
 _NAME_CALLS = frozenset({"fault_check", "fault_corrupt"})
 _ATTR_CALLS = frozenset({"check", "corrupt"})

@@ -21,10 +21,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.lint.astutil import dotted_name
 from repro.lint.findings import Finding
 from repro.lint.project import Project, SourceFile
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import dotted_name
 
 _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _BANNED_BUILTINS = frozenset({"id", "hash"})

@@ -20,10 +20,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Optional, Set
 
+from repro.lint.astutil import first_body_line, is_self_attr
 from repro.lint.findings import Finding
 from repro.lint.project import Project, SourceFile
 from repro.lint.registry import Rule, register
-from repro.lint.rules.common import first_body_line, is_self_attr
 from repro.lint.suppress import holds_lock_marked
 
 _MUTATORS = frozenset(

@@ -24,14 +24,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Set
 
-from repro.lint.findings import Finding
-from repro.lint.project import Project, SourceFile
-from repro.lint.registry import Rule, register
-from repro.lint.rules.common import (
+from repro.lint.astutil import (
     dotted_name,
     enclosing_function,
     set_parents,
 )
+from repro.lint.findings import Finding
+from repro.lint.project import Project, SourceFile
+from repro.lint.registry import Rule, register
 
 _GETATTR_METHODS = frozenset({"__getattr__", "__getattribute__"})
 

@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.algebra.poset import FinitePoset
 from repro.kernel.bitspace import TupleCodec
-from repro.kernel.config import fast_kernel_enabled
+from repro.kernel.config import bulk_enabled
 from repro.kernel.enumfast import legal_subset_masks
 from repro.relational.constraints import (
     Constraint,
@@ -156,14 +156,14 @@ def enumerate_instances(
     names = [rel.name for rel in schema.relations]
     arities = schema.arities()
 
-    use_bitset = fast_kernel_enabled()
+    use_masks = bulk_enabled()
 
     def relation_choices(name: str) -> List[Relation]:
         choices = []
         singleton_constraints = per_relation[name]
         rows = universes[name]
         arity = arities[name]
-        if use_bitset:
+        if use_masks:
             # Constraints compiled once to mask predicates; legal masks
             # arrive in ascending numeric order, matching `_subsets`.
             row_count = len(rows)
@@ -320,7 +320,7 @@ class StateSpace:
         """Index of a state (raises ``KeyError`` if not legal/present)."""
         return self._index[state]
 
-    # -- bitset kernel -------------------------------------------------------------
+    # -- mask encoding -------------------------------------------------------------
 
     @property
     def codec(self) -> TupleCodec:
@@ -349,7 +349,7 @@ class StateSpace:
         if self._poset is None:
             self._poset = (
                 FinitePoset.from_masks(self._states, self.masks)
-                if fast_kernel_enabled()
+                if bulk_enabled()
                 else FinitePoset.from_leq(
                     self._states, lambda a, b: a.issubset(b)
                 )

@@ -23,7 +23,7 @@ makes that guarantee operational for the machinery around the theory:
   the derivation to the naive kernel) instead of re-running the
   degradation ladder per request.
 
-The degradation ladder (bitset kernel -> naive kernel -> typed
+The degradation ladder (bulk kernel -> naive kernel -> typed
 :class:`~repro.errors.KernelFailureError`) and the checksummed cache
 envelope live in :mod:`repro.engine`, which consumes this package.
 """
@@ -57,7 +57,6 @@ from repro.resilience.locks import (
     LOCK_TTL_ENV_VAR,
     leases_enabled,
     lock_ttl_ms,
-    sweep_stale_lockfiles,
     sweep_stale_temp_files,
 )
 from repro.resilience.breaker import (
@@ -100,6 +99,5 @@ __all__ = [
     "install_plan",
     "leases_enabled",
     "lock_ttl_ms",
-    "sweep_stale_lockfiles",
     "sweep_stale_temp_files",
 ]

@@ -1,6 +1,6 @@
 """A circuit breaker for deterministically failing derivations.
 
-The engine's degradation ladder (bitset -> naive -> typed
+The engine's degradation ladder (bulk -> naive -> typed
 :class:`~repro.errors.KernelFailureError`) is the right response to a
 *transient* kernel crash; against a *deterministic* one it re-runs two
 doomed builds on every request.  A :class:`CircuitBreaker` remembers,
@@ -11,12 +11,12 @@ admitting ladder runs:
 * in **fail-fast** mode (the default) further requests raise a typed
   :class:`~repro.errors.CircuitOpenError` immediately -- callers get
   the fail-closed verdict in microseconds instead of after a full
-  bitset + naive build;
+  bulk + naive build;
 * in **pin-naive** mode further requests are *pinned* to the naive
   kernel: the engine builds directly on the naive rung, skipping the
-  bitset attempt that keeps crashing.  In this mode successful-but-
-  degraded builds (bitset crashed, naive succeeded) also count toward
-  the threshold, since each one re-pays the doomed bitset attempt.
+  bulk attempt that keeps crashing.  In this mode successful-but-
+  degraded builds (bulk crashed, naive succeeded) also count toward
+  the threshold, since each one re-pays the doomed bulk attempt.
 
 The breaker follows the classical state machine::
 
@@ -205,12 +205,12 @@ class CircuitBreaker:
             self._states.pop((kind, fingerprint), None)
 
     def record_degraded(self, kind: str, fingerprint: str) -> None:
-        """A degraded build: bitset crashed, the naive retry succeeded.
+        """A degraded build: bulk crashed, the naive retry succeeded.
 
         The request was served, so in fail-fast mode this is a success
         (there is nothing to fail fast *to*).  In pin-naive mode it is
         the very signal the breaker exists for: each degraded build
-        re-pays a doomed bitset attempt that pinning would skip.
+        re-pays a doomed bulk attempt that pinning would skip.
         """
         if self.mode == PIN_NAIVE:
             self._record_failure(kind, fingerprint)

@@ -64,7 +64,6 @@ FAULT_POINTS: Tuple[str, ...] = (
     "kernel.encode",
     "kernel.poset",
     "kernel.analysis",
-    "kernel.bulk",
     "enumeration.step",
     "server.admit",
     "server.drain",

@@ -20,16 +20,16 @@ The lease is strictly *advisory* and strictly *cross-process*:
   missing artifact.
 
 Stale leases cannot wedge the system.  The lockfile payload is
-``"<pid> <unix-timestamp>"``; a holder whose pid is dead, or whose
-lease has outlived the TTL (``REPRO_CACHE_LOCK_TTL_MS``, default 30 s),
-is taken over.  ``REPRO_CACHE_LOCKS=off`` (or a non-positive TTL)
-disables leasing entirely.
+``"<pid> <unix-timestamp>"``; a holder whose pid is dead is taken over
+by the next contender at once, and one whose lease has outlived the
+TTL (``REPRO_CACHE_LOCK_TTL_MS``, default 30 s) once the TTL expires.
+``REPRO_CACHE_LOCKS=off`` (or a non-positive TTL) disables leasing
+entirely.
 
 :func:`sweep_stale_temp_files` removes the per-pid ``*.tmp`` files a
-crashed writer left behind, and :func:`sweep_stale_lockfiles` reclaims
-the lease lockfiles of dead holders; storage backends
-(:mod:`repro.engine.backends`) run them one-shot per path at
-``open()``, surfacing the reclaimed count as their ``sweep_reclaimed``
+crashed writer left behind; the local-dir backend
+(:mod:`repro.engine.backends.localdir`) runs it one-shot per path at
+``open()``, surfacing the reclaimed count as its ``sweep_reclaimed``
 stat.
 
 Both lease transitions are registered fault points (``lock.acquire``,
@@ -53,7 +53,6 @@ __all__ = [
     "LOCK_TTL_ENV_VAR",
     "leases_enabled",
     "lock_ttl_ms",
-    "sweep_stale_lockfiles",
     "sweep_stale_temp_files",
 ]
 
@@ -282,59 +281,4 @@ def sweep_stale_temp_files(cache_dir: str) -> int:
             swept += 1
         except OSError:
             continue
-    return swept
-
-
-def _unlink_if_unchanged(path: Path, expected: str) -> bool:
-    """Unlink *path* only while its payload still reads *expected*.
-
-    Between a sweeper's staleness check and its unlink, a sibling
-    process may reclaim the same stale lease and a *new, live* holder
-    may recreate the same lockfile path.  Unlinking blindly at that
-    point deletes the live holder's lease -- the double-delete race.
-    Re-reading immediately before the unlink shrinks the window to a
-    single read/unlink pair and turns the common interleaving into a
-    skip: a changed (or vanished) payload means someone else owns the
-    path now, so it is left alone and not counted as swept.
-    """
-    try:
-        if path.read_text("ascii") != expected:
-            return False
-        path.unlink(missing_ok=True)
-        return True
-    except OSError:
-        return False
-
-
-def sweep_stale_lockfiles(lease_dir: str) -> int:
-    """Delete ``*.lock`` files whose holder pid is dead; return the count.
-
-    Lease lockfiles carry a ``"<pid> <unix-timestamp>"`` payload; a
-    holder that crashed without releasing leaves one behind.  The TTL
-    takeover recovers such leases lazily (the next contender waits one
-    TTL); this sweep recovers them eagerly at backend open, so the
-    first build after a crash pays nothing.  Lockfiles of live pids --
-    including our own -- are real leases and left alone, as are files
-    with unreadable payloads (the TTL path owns those).  The unlink is
-    guarded by a payload re-read (:func:`_unlink_if_unchanged`): when
-    several processes open the same backend concurrently and race the
-    same dead holder's file, the loser of the race must not delete the
-    lease a *new* holder wrote there in between.  Best-effort
-    throughout: an unreadable directory sweeps nothing.
-    """
-    swept = 0
-    try:
-        candidates = list(Path(lease_dir).glob("*.lock"))
-    except OSError:
-        return 0
-    for path in candidates:
-        try:
-            payload = path.read_text("ascii")
-            pid = int(payload.split()[0])
-        except (OSError, ValueError, IndexError):
-            continue
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        if _unlink_if_unchanged(path, payload):
-            swept += 1
     return swept

@@ -4,7 +4,9 @@ One request shape, one outcome shape, both deliberately boring:
 
 * a database instance travels as ``{relation: [[value, ...], ...]}``
   with the paper's null ``eta`` spelled as JSON ``null`` (the
-  :data:`~repro.typealgebra.algebra.NULL` singleton round-trips);
+  :data:`~repro.typealgebra.algebra.NULL` singleton round-trips); the
+  receiver decodes each relation at the arity its schema declares, so
+  an empty row list is the empty relation of that arity;
 * an update request names a view, the current base state, the target
   view state, and optionally a ``priority`` (``high``/``normal``/
   ``low``), a per-request ``deadline_ms``, and ``wait`` (respond with
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.engine import UpdateOutcome
 from repro.errors import RequestProtocolError
 from repro.relational.instances import DatabaseInstance
+from repro.relational.relations import Relation
 from repro.typealgebra.algebra import NULL
 
 __all__ = [
@@ -62,8 +65,16 @@ def instance_to_wire(instance: DatabaseInstance) -> WireInstance:
     return wire
 
 
-def instance_from_wire(data: object) -> DatabaseInstance:
-    """A :class:`DatabaseInstance` from wire data (``null`` -> ``NULL``)."""
+def instance_from_wire(
+    data: object, arities: Optional[Mapping[str, int]] = None
+) -> DatabaseInstance:
+    """A :class:`DatabaseInstance` from wire data (``null`` -> ``NULL``).
+
+    *arities* (relation name -> arity, e.g. ``Schema.arities()``) fixes
+    the arity of each named relation; without it, or for a name it does
+    not list, the arity is inferred from the rows, which makes an empty
+    row list a relation of arity 0.
+    """
     if not isinstance(data, dict):
         raise RequestProtocolError(
             f"instance must be an object mapping relation names to row"
@@ -86,8 +97,14 @@ def instance_from_wire(data: object) -> DatabaseInstance:
                 tuple(NULL if value is None else value for value in row)
             )
         relations[name] = decoded
+    declared = arities or {}
     try:
-        return DatabaseInstance(relations)
+        return DatabaseInstance(
+            {
+                name: Relation(rows, declared.get(name))
+                for name, rows in relations.items()
+            }
+        )
     except Exception as exc:
         raise RequestProtocolError(
             f"instance is not well-formed: {type(exc).__name__}: {exc}"
@@ -108,8 +125,17 @@ class UpdateRequest:
     wait: bool = False
 
 
-def parse_update_request(body: bytes) -> UpdateRequest:
-    """Parse a ``submit-update`` JSON body (fail closed on any damage)."""
+def parse_update_request(
+    body: bytes,
+    base_arities: Optional[Mapping[str, int]] = None,
+    view_arities: Optional[Mapping[str, Mapping[str, int]]] = None,
+) -> UpdateRequest:
+    """Parse a ``submit-update`` JSON body (fail closed on any damage).
+
+    The base state decodes at *base_arities* (the base schema's
+    signature) and the target at ``view_arities[view]`` (the addressed
+    view's signature); see :func:`instance_from_wire`.
+    """
     try:
         data = json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -139,8 +165,10 @@ def parse_update_request(body: bytes) -> UpdateRequest:
         raise RequestProtocolError("wait must be a boolean")
     return UpdateRequest(
         view=view,
-        base=instance_from_wire(data["base"]),
-        target=instance_from_wire(data["target"]),
+        base=instance_from_wire(data["base"], base_arities),
+        target=instance_from_wire(
+            data["target"], (view_arities or {}).get(view)
+        ),
         priority=priority,
         deadline_ms=deadline_ms,
         wait=wait,

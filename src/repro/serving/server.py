@@ -121,6 +121,12 @@ class UpdateServer:
         deadline_ms: Optional[float] = None,
     ) -> None:
         self.spec = spec
+        #: Declared arities, so an empty relation on the wire decodes
+        #: as the empty relation of its schema (base) or view (target).
+        self._base_arities = spec.schema.arities()
+        self._view_arities = {
+            view.name: view.mapping.target_arities() for view in spec.views
+        }
         self.engine = engine if engine is not None else Engine()
         self.host = host
         self.port = port
@@ -333,7 +339,9 @@ class UpdateServer:
                 {},
             )
         try:
-            request = parse_update_request(body)
+            request = parse_update_request(
+                body, self._base_arities, self._view_arities
+            )
         except RequestProtocolError as exc:
             return _error_reply(exc)
         deadline_ms = (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import NotComparableError
-from repro.kernel.config import fast_kernel_enabled
+from repro.kernel.config import bulk_enabled
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance
 from repro.views.view import View
@@ -23,12 +23,12 @@ def defines(definer: View, defined: View, space: StateSpace) -> bool:
     """True iff *definer* (implicitly = explicitly) defines *defined*.
 
     Criterion of §2.2: ``Pi(definer)`` is finer than ``Pi(defined)``.
-    Under the fast kernels the refinement check is one zip pass over the
+    Under the bulk kernel the refinement check is one zip pass over the
     two image tables -- ``Pi(definer)`` refines ``Pi(defined)`` exactly
     when the state table *definer image -> defined image* is
     well-defined -- skipping Partition construction entirely.
     """
-    if fast_kernel_enabled():
+    if bulk_enabled():
         witness: Dict[DatabaseInstance, DatabaseInstance] = {}
         for a, b in zip(
             definer.image_table(space), defined.image_table(space)
@@ -74,9 +74,9 @@ def are_isomorphic(left: View, right: View, space: StateSpace) -> bool:
     """True iff the views are isomorphic (Proposition 2.2.1(b)).
 
     Equivalent to mutual definability, i.e. equal kernels; under the
-    fast kernels this is two zip passes instead of materialising and
+    bulk kernel this is two zip passes instead of materialising and
     hashing both kernel partitions.
     """
-    if fast_kernel_enabled():
+    if bulk_enabled():
         return defines(left, right, space) and defines(right, left, space)
     return left.kernel(space) == right.kernel(space)

@@ -33,13 +33,12 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.backends.localdir import reset_sweep_registry
-from repro.engine.backends.sqlitedb import reset_lease_sweep_registry
 from repro.engine.engine import Engine
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import BackendConfigError, BackendUnavailableError
 from repro.kernel.config import use_kernel
 from repro.resilience.faults import inject
-from repro.resilience.locks import FileLease, sweep_stale_lockfiles
+from repro.resilience.locks import LOCK_DISABLE_ENV_VAR, LOCK_TTL_ENV_VAR
 
 KEY = ArtifactKey("space", "fingerprint01", "bitset")
 
@@ -173,19 +172,30 @@ class TestSQLiteSpecifics:
         with pytest.raises(sqlite3.ProgrammingError):
             opened[0].execute("SELECT 1")  # a closed connection raises
 
-    def test_stale_lease_lockfiles_swept_at_open(self, tmp_path):
-        backend = SQLiteBackend(str(tmp_path / "artifacts.db"))
-        lease_dir = backend._lease_dir()
-        lease_dir.mkdir(parents=True)
-        dead = lease_dir / "space-bitset-f1.pkl.lock"
-        dead.write_text("999999999 0.0", "ascii")  # dead pid, ancient
-        live = lease_dir / "space-bitset-f2.pkl.lock"
-        live.write_text(f"{os.getpid()} {time.time()}", "ascii")
-        backend.open()
-        assert not dead.exists()
-        assert live.exists()
-        assert backend.sweep_reclaimed == 1
-        assert backend.stats()["sweep_reclaimed"] == 1
+    def test_dead_holders_lease_is_taken_over_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A lockfile left under ``<db>.leases/`` by a crashed holder
+        needs no sweep: the next contender takes it over without
+        waiting, and neither ``open()`` nor ``sweep()`` touches it."""
+        monkeypatch.delenv(LOCK_DISABLE_ENV_VAR, raising=False)
+        monkeypatch.delenv(LOCK_TTL_ENV_VAR, raising=False)
+        backend = make_sqlite(tmp_path)
+        lease = backend.lease_for(KEY)
+        # A fresh stamp: only the dead pid makes this holder stale.
+        lease.path.write_text(f"{DEAD_PID} {time.time()}", "ascii")
+        assert backend.sweep() == 0
+        assert lease.path.exists()
+        try:
+            assert lease.acquire()
+            assert lease.took_over
+            assert not lease.waited
+            holder = lease.path.read_text("ascii").split()[0]
+            assert holder == str(os.getpid())
+        finally:
+            lease.release()
+        assert not lease.path.exists()
+        assert backend.stats()["sweep_reclaimed"] == 0
 
 
 class TestLocalDirSweep:
@@ -232,98 +242,6 @@ class TestLocalDirSweep:
         backend = LocalDirBackend(str(not_a_dir))
         with pytest.raises(BackendUnavailableError):
             backend.open()
-
-
-class TestSQLiteLeaseSweep:
-    def _plant_dead_lockfile(self, backend):
-        lease_dir = backend._lease_dir()
-        lease_dir.mkdir(parents=True, exist_ok=True)
-        dead = lease_dir / "space-bitset-f1.pkl.lock"
-        dead.write_text(f"{DEAD_PID} 0.0", "ascii")
-        return dead
-
-    def test_open_sweeps_one_shot_per_database(self, tmp_path):
-        reset_lease_sweep_registry()
-        first = SQLiteBackend(str(tmp_path / "artifacts.db"))
-        dead = self._plant_dead_lockfile(first)
-        first.open()
-        assert not dead.exists()
-        assert first.sweep_reclaimed == 1
-        # A second opener of the same database must not re-sweep: in a
-        # fleet, every worker re-running the sweep at open() multiplies
-        # the read-check-unlink races for no additional hygiene.
-        second = SQLiteBackend(str(tmp_path / "artifacts.db"))
-        planted = self._plant_dead_lockfile(second)
-        second.open()
-        assert second.sweep_reclaimed == 0
-        assert planted.exists()
-
-    def test_explicit_sweep_is_unconditional(self, tmp_path):
-        reset_lease_sweep_registry()
-        backend = make_sqlite(tmp_path)
-        dead = self._plant_dead_lockfile(backend)
-        assert backend.sweep() == 1
-        assert not dead.exists()
-        assert backend.sweep_reclaimed == 1
-
-
-def _lockfile_sweeper(lease_dir, stop_path, error_queue):
-    """Hammer the stale-lockfile sweep until the stop file appears."""
-    try:
-        while not os.path.exists(stop_path):
-            sweep_stale_lockfiles(lease_dir)
-    except BaseException as exc:  # pragma: no cover - failure reporting
-        error_queue.put(repr(exc))
-
-
-class TestLeaseSweepRace:
-    def test_sweep_never_unlinks_a_live_holders_lockfile(self, tmp_path):
-        """The double-delete race, hammered by real sibling processes.
-
-        Each round plants a dead holder's lockfile as bait, then
-        reclaims it with a live :class:`FileLease` while three forked
-        siblings run :func:`sweep_stale_lockfiles` in a tight loop.  A
-        sweeper that judged the *bait* stale must not unlink the *live*
-        lockfile that replaced it -- the payload re-read guard is what
-        makes the window safe.
-        """
-        lease_dir = tmp_path / "leases"
-        lease_dir.mkdir()
-        target = lease_dir / "space-bitset-f1.pkl"
-        lockfile = lease_dir / "space-bitset-f1.pkl.lock"
-        stop = tmp_path / "stop"
-        ctx = multiprocessing.get_context("fork")
-        errors = ctx.Queue()
-        sweepers = [
-            ctx.Process(
-                target=_lockfile_sweeper,
-                args=(str(lease_dir), str(stop), errors),
-            )
-            for _ in range(3)
-        ]
-        for proc in sweepers:
-            proc.start()
-        lost = 0
-        deadline = time.monotonic() + 0.5
-        try:
-            while time.monotonic() < deadline:
-                lockfile.write_text(f"{DEAD_PID} 0.0", "ascii")
-                lease = FileLease(target, backoff=0.0001)
-                if not lease.acquire():
-                    continue
-                # While held, the live lockfile must never vanish.
-                for _ in range(3):
-                    if not lockfile.exists():
-                        lost += 1
-                        break
-                    time.sleep(0.0002)
-                lease.release()
-        finally:
-            stop.write_text("done")
-            for proc in sweepers:
-                proc.join(timeout=10)
-        assert lost == 0
-        assert errors.empty()
 
 
 class TestSelection:
@@ -523,7 +441,7 @@ class TestSQLiteFleetContention:
 
 
 class TestColdWarmParityAcrossBackends:
-    @pytest.mark.parametrize("kernel", ["bitset", "naive"])
+    @pytest.mark.parametrize("kernel", ["bulk", "naive"])
     def test_session_outcomes_equal(
         self, tmp_path, kernel, small_chain, small_space
     ):

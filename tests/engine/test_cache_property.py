@@ -55,7 +55,7 @@ universes = st.tuples(
 )
 
 
-@pytest.mark.parametrize("mode", ["bitset", "naive"])
+@pytest.mark.parametrize("mode", ["bulk", "naive"])
 @given(params=universes)
 @settings(max_examples=20, deadline=None)
 def test_memory_hit_equals_cold_build(mode, params):
@@ -72,7 +72,7 @@ def test_memory_hit_equals_cold_build(mode, params):
         assert independent.fingerprint() == cold.fingerprint()
 
 
-@pytest.mark.parametrize("mode", ["bitset", "naive"])
+@pytest.mark.parametrize("mode", ["bulk", "naive"])
 @given(params=universes)
 @settings(max_examples=10, deadline=None)
 def test_disk_round_trip_equals_cold_build(mode, params):

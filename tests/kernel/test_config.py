@@ -4,11 +4,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel.config import (
-    BULK_ENV_VAR,
     KERNEL_ENV_VAR,
-    bitset_enabled,
     bulk_enabled,
-    fast_kernel_enabled,
     kernel_mode,
     use_kernel,
 )
@@ -17,29 +14,28 @@ from repro.kernel.config import (
 class TestKernelMode:
     def test_default_is_bulk(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.delenv(BULK_ENV_VAR, raising=False)
         assert kernel_mode() == "bulk"
         assert bulk_enabled()
-        assert fast_kernel_enabled()
-        assert not bitset_enabled()
 
     def test_env_var_selects_naive(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "naive")
         assert kernel_mode() == "naive"
-        assert not bitset_enabled()
         assert not bulk_enabled()
-        assert not fast_kernel_enabled()
 
-    def test_env_var_selects_bitset(self, monkeypatch):
+    def test_env_var_rejects_bitset(self, monkeypatch):
+        """``bitset`` is not a mode: it fails typed, naming the valid
+        ones, instead of silently aliasing to bulk."""
         monkeypatch.setenv(KERNEL_ENV_VAR, "bitset")
-        assert kernel_mode() == "bitset"
-        assert bitset_enabled()
-        assert not bulk_enabled()
-        assert fast_kernel_enabled()
+        with pytest.raises(ReproError, match="unknown kernel mode") as info:
+            kernel_mode()
+        assert "('bulk', 'naive')" in str(info.value)
+        with pytest.raises(ReproError, match="unknown kernel mode"):
+            with use_kernel("bitset"):
+                pass  # pragma: no cover
 
     def test_env_var_is_normalised(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "  BitSet ")
-        assert kernel_mode() == "bitset"
+        monkeypatch.setenv(KERNEL_ENV_VAR, "  NaIvE ")
+        assert kernel_mode() == "naive"
 
     def test_invalid_env_var_raises(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "vectorised")
@@ -52,52 +48,21 @@ class TestKernelMode:
                 pass  # pragma: no cover
 
 
-class TestBulkKillSwitch:
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_kill_switch_downgrades_default_to_bitset(
-        self, monkeypatch, value
-    ):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setenv(BULK_ENV_VAR, value)
-        assert kernel_mode() == "bitset"
-        assert bitset_enabled()
-        assert not bulk_enabled()
-
-    def test_kill_switch_downgrades_explicit_requests(self, monkeypatch):
-        monkeypatch.setenv(BULK_ENV_VAR, "0")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "bulk")
-        assert kernel_mode() == "bitset"
-        with use_kernel("bulk"):
-            assert kernel_mode() == "bitset"
-
-    def test_kill_switch_leaves_naive_alone(self, monkeypatch):
-        monkeypatch.setenv(BULK_ENV_VAR, "0")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "naive")
-        assert kernel_mode() == "naive"
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-    def test_non_disabling_values_keep_bulk(self, monkeypatch, value):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setenv(BULK_ENV_VAR, value)
-        assert kernel_mode() == "bulk"
-
-
 class TestUseKernel:
     def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "bitset")
-        with use_kernel("naive"):
-            assert kernel_mode() == "naive"
-        assert kernel_mode() == "bitset"
+        monkeypatch.setenv(KERNEL_ENV_VAR, "naive")
+        with use_kernel("bulk"):
+            assert kernel_mode() == "bulk"
+        assert kernel_mode() == "naive"
 
     def test_reentrant(self):
         with use_kernel("naive"):
-            with use_kernel("bitset"):
-                assert kernel_mode() == "bitset"
+            with use_kernel("bulk"):
+                assert kernel_mode() == "bulk"
             assert kernel_mode() == "naive"
 
     def test_restores_on_exception(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.delenv(BULK_ENV_VAR, raising=False)
         with pytest.raises(RuntimeError):
             with use_kernel("naive"):
                 raise RuntimeError("boom")

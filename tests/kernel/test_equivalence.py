@@ -1,7 +1,7 @@
-"""Bulk ≡ bitset ≡ naive kernels on the paper's fixture universes.
+"""Bulk ≡ naive kernels on the paper's fixture universes.
 
 The acceptance bar for the kernels: on E7 (Example 1.3.6's two-unary
-universe) and E8 (Example 2.1.1's small ABCD chain), all three kernels
+universe) and E8 (Example 2.1.1's small ABCD chain), both kernels
 must produce identical state spaces, posets, view kernels, ``gamma#`` /
 ``gamma^Theta`` tables, and component algebras.  Every artifact is
 rebuilt from scratch under each mode (state spaces cache their posets,
@@ -74,12 +74,9 @@ def chain_artifacts():
 def test_kernels_agree_on_fixture(build):
     with use_kernel("bulk"):
         bulk = build()
-    with use_kernel("bitset"):
-        fast = build()
     with use_kernel("naive"):
         slow = build()
     assert bulk == slow
-    assert fast == slow
 
 
 def test_enumeration_agrees_on_constrained_schema():
@@ -103,7 +100,7 @@ def test_enumeration_agrees_on_constrained_schema():
         {"S": ("s1", "s2"), "P": ("p1", "p2"), "J": ("j1", "j2")}
     )
     results = {}
-    for mode in ("bulk", "bitset", "naive"):
+    for mode in ("bulk", "naive"):
         with use_kernel(mode):
             results[mode, True] = list(
                 enumerate_instances(schema, assignment, prune=True)
@@ -114,14 +111,12 @@ def test_enumeration_agrees_on_constrained_schema():
     # Same states in the same order, across kernels and prune settings.
     assert results["bulk", True] == results["naive", True]
     assert results["bulk", False] == results["naive", False]
-    assert results["bitset", True] == results["naive", True]
-    assert results["bitset", False] == results["naive", False]
-    assert set(results["bitset", True]) == set(results["bitset", False])
+    assert set(results["bulk", True]) == set(results["bulk", False])
 
 
 def test_strong_complement_verdicts_agree():
     verdicts = {}
-    for mode in ("bulk", "bitset", "naive"):
+    for mode in ("bulk", "naive"):
         with use_kernel(mode):
             chain = abcd_chain_small()
             space = chain.state_space()
@@ -135,15 +130,14 @@ def test_strong_complement_verdicts_agree():
                 for b in strong
             ]
     assert verdicts["bulk"] == verdicts["naive"]
-    assert verdicts["bitset"] == verdicts["naive"]
-    assert any(flag for _, _, flag in verdicts["bitset"])
+    assert any(flag for _, _, flag in verdicts["bulk"])
 
 
 class TestJoinMeet:
     """StateSpace.join/meet: union/intersection fast path vs poset
     fallback, identical across kernels (satellite check)."""
 
-    @pytest.mark.parametrize("mode", ["bulk", "bitset", "naive"])
+    @pytest.mark.parametrize("mode", ["bulk", "naive"])
     def test_join_meet_match_poset_everywhere(self, mode):
         with use_kernel(mode):
             scenario = two_unary_scenario()
@@ -156,7 +150,7 @@ class TestJoinMeet:
 
     def test_fast_path_and_fallback_agree_across_kernels(self):
         results = {}
-        for mode in ("bulk", "bitset", "naive"):
+        for mode in ("bulk", "naive"):
             with use_kernel(mode):
                 chain = abcd_chain_small()
                 space = chain.state_space()
@@ -167,4 +161,3 @@ class TestJoinMeet:
                     for b in states
                 ]
         assert results["bulk"] == results["naive"]
-        assert results["bitset"] == results["naive"]

@@ -5,7 +5,7 @@ domains of size 1-2, optional FD/JD constraints):
 
 * ``enumerate_instances(prune=True)`` ≡ ``prune=False`` -- pruning is
   an optimisation, never a semantic change;
-* the bitset kernel ≡ the naive kernel -- same states in the same
+* the bulk kernel ≡ the naive kernel -- same states in the same
   order, and the same poset order matrix.
 """
 
@@ -70,10 +70,10 @@ def test_prune_is_semantics_preserving(universe):
 
 @settings(max_examples=60, deadline=None)
 @given(universes())
-def test_bitset_and_naive_kernels_agree(universe):
+def test_bulk_and_naive_kernels_agree(universe):
     schema, assignment = universe
     per_mode = {}
-    for mode in ("bitset", "naive"):
+    for mode in ("bulk", "naive"):
         with use_kernel(mode):
             states = {
                 prune: list(
@@ -87,4 +87,4 @@ def test_bitset_and_naive_kernels_agree(universe):
                 space.states,
                 space.poset.leq_matrix(),
             )
-    assert per_mode["bitset"] == per_mode["naive"]
+    assert per_mode["bulk"] == per_mode["naive"]

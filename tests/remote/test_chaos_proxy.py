@@ -225,7 +225,7 @@ class TestColdWarmParityUnderChaos:
             ]
             return [(o.accepted, o.reason, o.base_after) for o in outcomes]
 
-        with use_kernel("bitset"):
+        with use_kernel("bulk"):
             clean = run_session(
                 LocalDirBackend(str(tmp_path / "reference"))
             )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.engine import Engine
 from repro.errors import CircuitOpenError, KernelFailureError, ReproError
-from repro.kernel.config import BITSET, use_kernel
+from repro.kernel.config import BULK, use_kernel
 from repro.resilience.breaker import (
     ALLOW,
     CLOSED,
@@ -196,10 +196,10 @@ class TestEnvKnobs:
             CircuitBreaker.from_env()
 
 
-def _bitset_only_plan():
-    """Only the bitset rung crashes: every ladder run degrades."""
+def _bulk_only_plan():
+    """Only the bulk rung crashes: every ladder run degrades."""
     return FaultPlan(
-        rules=(FaultRule("kernel.analysis", kernel=BITSET),)
+        rules=(FaultRule("kernel.analysis", kernel=BULK),)
     )
 
 
@@ -235,7 +235,7 @@ def flaky_analyze(monkeypatch):
 
 class TestEngineIntegration:
     def _fail_once(self, engine, view, space):
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             with pytest.raises(KernelFailureError):
                 engine.analysis(view, space)
         engine.store.clear()  # next request must re-derive
@@ -251,9 +251,9 @@ class TestEngineIntegration:
         view = projection_view(small_chain, ("A", "B", "D"))
         for _ in range(2):
             self._fail_once(engine, view, small_space)
-        # Each ladder run pays both rungs: bitset attempt + naive retry.
+        # Each ladder run pays both rungs: bulk attempt + naive retry.
         assert flaky_analyze.calls == 4
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             with pytest.raises(CircuitOpenError):
                 engine.analysis(view, small_space)
         # Fail-fast: the builder never ran again.
@@ -270,12 +270,12 @@ class TestEngineIntegration:
         engine = Engine(breaker_threshold=1, breaker_cooldown_ms=60_000)
         view = projection_view(small_chain, ("A", "B", "D"))
         self._fail_once(engine, view, small_space)
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             with pytest.raises(CircuitOpenError):
                 engine.analysis(view, small_space)
         assert engine.reset_breaker("analysis") == 1
         flaky_analyze.crashing = False  # "operator fixed the bug"
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             analysis = engine.analysis(view, small_space)
         assert analysis is not None
         assert engine.stats()["breaker"]["entries"] == {}
@@ -292,18 +292,18 @@ class TestEngineIntegration:
         engine = Engine(breaker=breaker)
         view = projection_view(small_chain, ("A", "B", "D"))
         self._fail_once(engine, view, small_space)
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             with pytest.raises(CircuitOpenError):
                 engine.analysis(view, small_space)
         clock.advance_ms(150)
         flaky_analyze.crashing = False
-        with use_kernel(BITSET):  # the probe runs clean and closes
+        with use_kernel(BULK):  # the probe runs clean and closes
             engine.analysis(view, small_space)
         assert engine.stats()["breaker"]["entries"] == {}
 
-    def test_pin_naive_skips_the_bitset_rung(self, small_chain, small_space):
+    def test_pin_naive_skips_the_bulk_rung(self, small_chain, small_space):
         """Once pinned, requests are served degraded without re-paying
-        the doomed bitset attempt: the bitset fault stops firing."""
+        the doomed bulk attempt: the bulk fault stops firing."""
         from repro.decomposition.projections import projection_view
 
         engine = Engine(
@@ -312,14 +312,14 @@ class TestEngineIntegration:
             breaker_mode=PIN_NAIVE,
         )
         view = projection_view(small_chain, ("A", "B", "D"))
-        plan = _bitset_only_plan()
-        with use_kernel(BITSET), inject(plan):
+        plan = _bulk_only_plan()
+        with use_kernel(BULK), inject(plan):
             for _ in range(2):  # degraded builds count toward the trip
                 engine.analysis(view, small_space)
                 engine.store.clear()
             fired_before = len(plan.log)
             pinned = engine.analysis(view, small_space)
-            # Pinned: the naive rung served without a bitset crash.
+            # Pinned: the naive rung served without a bulk crash.
             assert len(plan.log) == fired_before
         assert pinned is not None
         counters = engine.stats()["artifacts"]["memory"]["analysis"]
@@ -338,7 +338,7 @@ class TestEngineIntegration:
         )
         view = projection_view(small_chain, ("A", "B", "D"))
         self._fail_once(engine, view, small_space)
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             with pytest.raises(KernelFailureError) as excinfo:
                 engine.analysis(view, small_space)
         assert "pinned" in str(excinfo.value)

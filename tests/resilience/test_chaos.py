@@ -1,4 +1,4 @@
-"""Chaos suite: every fault point, all three kernels, one invariant.
+"""Chaos suite: every fault point, both kernels, one invariant.
 
 ``Session.update`` must be fail-closed: whatever fault fires anywhere
 below it -- cache I/O, kernel crashes, enumeration faults -- the caller
@@ -12,7 +12,7 @@ import pytest
 from repro.decomposition.projections import projection_view
 from repro.engine.engine import Engine, UpdateOutcome
 from repro.errors import ReproError
-from repro.kernel.config import BITSET, BULK, NAIVE, use_kernel
+from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.faults import (
     FAULT_POINTS,
     FaultPlan,
@@ -42,7 +42,7 @@ def make_request(session, small_chain):
     return state, view_state.deleting("R_ABD", ("a1", "b1", NULL))
 
 
-@pytest.mark.parametrize("kernel", [BULK, BITSET, NAIVE])
+@pytest.mark.parametrize("kernel", [BULK, NAIVE])
 @pytest.mark.parametrize("point", FAULT_POINTS)
 class TestFailClosedUpdates:
     def test_update_returns_outcome_or_typed_error(
@@ -90,7 +90,7 @@ class TestFailClosedUpdates:
                 assert isinstance(outcome, UpdateOutcome)
 
 
-@pytest.mark.parametrize("kernel", [BULK, BITSET, NAIVE])
+@pytest.mark.parametrize("kernel", [BULK, NAIVE])
 class TestColdVersusCachedUnderFaults:
     def test_cold_and_cached_runs_agree(
         self, kernel, small_chain, small_space, tmp_path, monkeypatch

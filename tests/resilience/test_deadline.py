@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.engine import Engine
 from repro.errors import DeadlineExceededError
-from repro.kernel.config import BITSET, NAIVE, use_kernel
+from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.guard import (
     DEADLINE_ENV_VAR,
     ExecutionGuard,
@@ -22,7 +22,7 @@ def _hermetic_cache(monkeypatch):
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
 
 
-@pytest.mark.parametrize("kernel", [BITSET, NAIVE])
+@pytest.mark.parametrize("kernel", [BULK, NAIVE])
 class TestStepBudgetThroughEngine:
     def test_enumeration_trips_the_budget(self, two_unary, kernel):
         engine = Engine(max_steps=1)
@@ -103,7 +103,7 @@ class TestGuardScoping:
 
 
 class TestBudgetErrorPayload:
-    @pytest.mark.parametrize("kernel", [BITSET, NAIVE])
+    @pytest.mark.parametrize("kernel", [BULK, NAIVE])
     def test_too_large_error_names_schema_and_budget(
         self, two_unary, kernel
     ):

@@ -1,4 +1,4 @@
-"""The degradation ladder: bulk -> bitset -> naive -> typed failure."""
+"""The degradation ladder: bulk -> naive -> typed failure."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.errors import (
     ResilienceError,
     StateSpaceTooLargeError,
 )
-from repro.kernel.config import BITSET, BULK, NAIVE, use_kernel
+from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 
 
@@ -25,17 +25,17 @@ def _hermetic_cache(monkeypatch):
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
 
 
-def bitset_analysis_fault():
+def bulk_analysis_fault():
     return FaultPlan(
-        seed=7, rules=(FaultRule("kernel.analysis", kernel=BITSET),)
+        seed=7, rules=(FaultRule("kernel.analysis", kernel=BULK),)
     )
 
 
 class TestDegradedAnalysis:
-    def test_bitset_crash_degrades_to_naive(self, small_chain, small_space):
+    def test_bulk_crash_degrades_to_naive(self, small_chain, small_space):
         engine = Engine()
         view = projection_view(small_chain, ("A", "B", "D"))
-        with use_kernel(BITSET), inject(bitset_analysis_fault()):
+        with use_kernel(BULK), inject(bulk_analysis_fault()):
             degraded = engine.analysis(view, small_space)
         assert engine.stats()["artifacts"]["memory"]["analysis"]["degradations"] == 1
 
@@ -50,14 +50,14 @@ class TestDegradedAnalysis:
     def test_degraded_artifact_is_cached_under_its_original_key(
         self, small_chain, small_space
     ):
-        """The naive-built artifact answers later bitset requests: the
+        """The naive-built artifact answers later bulk requests: the
         kernels are semantically equivalent (enforced by the kernel
         equivalence suite), so the key need not change."""
         engine = Engine()
         view = projection_view(small_chain, ("A", "B", "D"))
-        with use_kernel(BITSET), inject(bitset_analysis_fault()):
+        with use_kernel(BULK), inject(bulk_analysis_fault()):
             degraded = engine.analysis(view, small_space)
-        with use_kernel(BITSET):  # same key, no faults active
+        with use_kernel(BULK):  # same key, no faults active
             again = engine.analysis(view, small_space)
         assert again is degraded
         counters = engine.stats()["artifacts"]["memory"]["analysis"]
@@ -65,25 +65,8 @@ class TestDegradedAnalysis:
         assert counters["degradations"] == 1
 
 
-class TestBulkLadder:
-    def test_bulk_crash_degrades_to_bitset(self, small_chain, small_space):
-        plan = FaultPlan(seed=7, rules=(FaultRule("kernel.bulk"),))
-        engine = Engine()
-        view = projection_view(small_chain, ("A", "B", "D"))
-        with use_kernel(BULK), inject(plan):
-            degraded = engine.analysis(view, small_space)
-        assert engine.stats()["artifacts"]["memory"]["analysis"]["degradations"] == 1
-
-        with use_kernel(NAIVE):
-            clean = analyze_view(view, small_space)
-        assert degraded.is_strong == clean.is_strong
-        assert degraded.is_monotone == clean.is_monotone
-        assert degraded.theta == clean.theta
-        assert degraded.sharp == clean.sharp
-
-    def test_all_three_rungs_failing_reports_every_traceback(
-        self, two_unary
-    ):
+class TestBothRungsFailing:
+    def test_typed_failure_with_both_tracebacks(self, two_unary):
         plan = FaultPlan(rules=(FaultRule("enumeration.step"),))
         engine = Engine()
         with use_kernel(BULK), inject(plan):
@@ -93,22 +76,6 @@ class TestBulkLadder:
         assert error.kind == "space"
         assert "under the bulk kernel" in str(error)
         assert "InjectedFault" in error.bulk_traceback
-        assert "InjectedFault" in error.bitset_traceback
-        assert "InjectedFault" in error.naive_traceback
-        # Two failed retries, one per lower rung attempted.
-        assert engine.stats()["artifacts"]["memory"]["space"]["degradations"] == 2
-
-
-class TestBothRungsFailing:
-    def test_typed_failure_with_both_tracebacks(self, two_unary):
-        plan = FaultPlan(rules=(FaultRule("enumeration.step"),))
-        engine = Engine()
-        with use_kernel(BITSET), inject(plan):
-            with pytest.raises(KernelFailureError) as info:
-                engine.space(two_unary.schema, two_unary.assignment)
-        error = info.value
-        assert error.kind == "space"
-        assert "InjectedFault" in error.bitset_traceback
         assert "InjectedFault" in error.naive_traceback
         # The failed retry still counts as a degradation attempt.
         assert engine.stats()["artifacts"]["memory"]["space"]["degradations"] == 1
@@ -128,7 +95,7 @@ class TestNaiveModeFailures:
                     KernelFailureError, match="no degradation rung"
                 ) as info:
                     engine.space(two_unary.schema, two_unary.assignment)
-        assert info.value.bitset_traceback == ""
+        assert info.value.bulk_traceback == ""
         assert "InjectedFault" in info.value.naive_traceback
         assert engine.stats()["artifacts"]["memory"]["space"]["degradations"] == 0
 
@@ -146,15 +113,15 @@ class TestTypedErrorsPassThrough:
 
 
 class TestDegradationAcrossExperiments:
-    def test_forced_bitset_failure_preserves_every_verdict(self):
-        """Acceptance: with every bitset strong-analysis forced to
+    def test_forced_bulk_failure_preserves_every_verdict(self):
+        """Acceptance: with every bulk strong-analysis forced to
         crash, E1-E12 all degrade to the naive kernel and report the
         same verdicts as a clean run (all PASS -- the clean-run
         verdicts are pinned by the harness suite)."""
         from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
 
         engine = Engine()
-        with use_kernel(BITSET), inject(bitset_analysis_fault()):
+        with use_kernel(BULK), inject(bulk_analysis_fault()):
             results = [
                 run_experiment(experiment_id, engine=engine)
                 for experiment_id in ALL_EXPERIMENTS

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.engine.store import _unwrap_payload, _wrap_payload
-from repro.kernel.config import BITSET, NAIVE, use_kernel
+from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.faults import (
     CORRUPT,
     DELAY,
@@ -50,10 +50,10 @@ class TestMatching:
         assert plan.log == [("store.load", RAISE)] * 2
 
     def test_kernel_filter(self):
-        plan = FaultPlan(rules=(FaultRule("kernel.analysis", kernel=BITSET),))
+        plan = FaultPlan(rules=(FaultRule("kernel.analysis", kernel=BULK),))
         with use_kernel(NAIVE):
             plan.check("kernel.analysis")  # filtered out
-        with use_kernel(BITSET):
+        with use_kernel(BULK):
             with pytest.raises(InjectedFault):
                 plan.check("kernel.analysis")
 

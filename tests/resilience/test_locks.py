@@ -5,16 +5,13 @@ import os
 import pytest
 
 from repro.resilience.faults import FaultPlan, FaultRule, inject
-from repro.resilience import locks
 from repro.resilience.locks import (
     DEFAULT_LOCK_TTL_MS,
     FileLease,
     LOCK_DISABLE_ENV_VAR,
     LOCK_TTL_ENV_VAR,
-    _unlink_if_unchanged,
     leases_enabled,
     lock_ttl_ms,
-    sweep_stale_lockfiles,
     sweep_stale_temp_files,
 )
 
@@ -207,65 +204,3 @@ class TestTempSweep:
 
     def test_missing_directory_sweeps_nothing(self, tmp_path):
         assert sweep_stale_temp_files(str(tmp_path / "missing")) == 0
-
-
-class TestLockfileSweep:
-    def test_sweeps_only_dead_holders(self, tmp_path):
-        dead = tmp_path / "artifact-one.pkl.lock"
-        dead.write_text(f"{DEAD_PID} 0.0", "ascii")
-        ours = tmp_path / "artifact-two.pkl.lock"
-        ours.write_text(f"{os.getpid()} 0.0", "ascii")
-        garbage = tmp_path / "artifact-three.pkl.lock"
-        garbage.write_text("not a payload", "ascii")
-        assert sweep_stale_lockfiles(str(tmp_path)) == 1
-        assert not dead.exists()
-        assert ours.exists()
-        assert garbage.exists()
-
-    def test_missing_directory_sweeps_nothing(self, tmp_path):
-        assert sweep_stale_lockfiles(str(tmp_path / "missing")) == 0
-
-    def test_guard_skips_a_concurrently_reclaimed_path(
-        self, tmp_path, monkeypatch
-    ):
-        """The double-delete race, made deterministic.
-
-        Between the sweep's staleness check and its unlink, a sibling
-        process can reclaim the same dead holder's file and a *new,
-        live* holder can write the same path.  The liveness probe is
-        exactly that window, so a monkeypatched probe that swaps the
-        payload reproduces the interleaving on demand -- and the sweep
-        must skip the file, not delete the live lease.
-        """
-        lockfile = tmp_path / "artifact.pkl.lock"
-        dead_payload = f"{DEAD_PID} 0.0"
-        lockfile.write_text(dead_payload, "ascii")
-        live_payload = f"{os.getpid()} 1e18"
-
-        def probe_and_interleave(pid):
-            # The sibling wins the race while we were probing.
-            lockfile.write_text(live_payload, "ascii")
-            return False  # the *old* holder really was dead
-
-        monkeypatch.setattr(locks, "_pid_alive", probe_and_interleave)
-        assert sweep_stale_lockfiles(str(tmp_path)) == 0
-        assert lockfile.read_text("ascii") == live_payload
-
-
-class TestUnlinkIfUnchanged:
-    def test_unchanged_payload_is_unlinked(self, tmp_path):
-        path = tmp_path / "artifact.pkl.lock"
-        path.write_text("expected", "ascii")
-        assert _unlink_if_unchanged(path, "expected")
-        assert not path.exists()
-
-    def test_changed_payload_survives(self, tmp_path):
-        path = tmp_path / "artifact.pkl.lock"
-        path.write_text("someone new", "ascii")
-        assert not _unlink_if_unchanged(path, "expected")
-        assert path.exists()
-
-    def test_vanished_file_is_not_counted(self, tmp_path):
-        assert not _unlink_if_unchanged(
-            tmp_path / "gone.lock", "expected"
-        )

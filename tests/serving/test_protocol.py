@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import RequestProtocolError
+from repro.relational.instances import DatabaseInstance
 from repro.serving.protocol import (
     instance_from_wire,
     instance_to_wire,
@@ -13,6 +14,11 @@ from repro.serving.protocol import (
     request_to_wire,
 )
 from repro.typealgebra.algebra import NULL
+
+
+def view_arities(spec):
+    """Each served view's signature, by view name."""
+    return {view.name: view.mapping.target_arities() for view in spec.views}
 
 
 class TestInstanceRoundTrip:
@@ -25,11 +31,21 @@ class TestInstanceRoundTrip:
         assert instance_from_wire(wire) == base
 
     def test_round_trip_every_sample(self, spec):
+        base_arities = spec.schema.arities()
+        targets = view_arities(spec)
+        # The empty base state and every view's empty state: on the
+        # wire an empty row list carries no arity of its own.
+        cases = [(spec.schema.empty_instance(), base_arities)] + [
+            (DatabaseInstance.empty(arities), arities)
+            for arities in targets.values()
+        ]
         for request in spec.sample_requests:
-            for instance in (request.base, request.target):
-                wire = instance_to_wire(instance)
-                json.dumps(wire)  # must be JSON-ready as-is
-                assert instance_from_wire(wire) == instance
+            cases.append((request.base, base_arities))
+            cases.append((request.target, targets[request.view]))
+        for instance, arities in cases:
+            wire = instance_to_wire(instance)
+            json.dumps(wire)  # must be JSON-ready as-is
+            assert instance_from_wire(wire, arities) == instance
 
     def test_wire_form_is_deterministic(self, spec):
         base = spec.sample_requests[0].base
@@ -60,6 +76,32 @@ class TestRequestParsing:
             assert parsed.base == request.base
             assert parsed.target == request.target
             assert parsed.priority == request.priority
+
+    def test_empty_relations_decode_at_the_declared_arity(self, spec):
+        request = spec.sample_requests[0]
+        wire = request_to_wire(request)
+        wire["base"] = instance_to_wire(spec.schema.empty_instance())
+        wire["target"] = {name: [] for name in wire["target"]}
+        parsed = parse_update_request(
+            json.dumps(wire).encode(),
+            spec.schema.arities(),
+            view_arities(spec),
+        )
+        assert parsed.base == spec.schema.empty_instance()
+        assert parsed.target == DatabaseInstance.empty(
+            view_arities(spec)[request.view]
+        )
+
+    def test_rows_of_the_wrong_width_fail_typed(self, spec):
+        wire = request_to_wire(spec.sample_requests[0])
+        name = next(iter(wire["base"]))
+        wire["base"][name] = [["one-column"]]
+        with pytest.raises(RequestProtocolError, match="arity"):
+            parse_update_request(
+                json.dumps(wire).encode(),
+                spec.schema.arities(),
+                view_arities(spec),
+            )
 
     def test_deadline_and_wait_travel(self, spec):
         wire = request_to_wire(spec.sample_requests[0])

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import WarmStartError
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.serving.client import ServingClient, run_load
+from repro.serving.protocol import UpdateRequest, outcome_to_wire
 from repro.serving.server import UpdateServer
 from repro.serving import warmstart
 from repro.serving.warmstart import sibling_warm_start
@@ -124,6 +125,56 @@ class TestHappyPath:
         assert reply.status == 200
         assert reply.body["outcome"]["accepted"] is False
         assert reply.body["outcome"]["reason"] == "illegal-view-state"
+
+
+class TestEmptyRelationsOverHttp:
+    def test_empty_base_gets_the_in_process_outcome(self, spec):
+        """An empty row list on the wire decodes at its declared arity,
+        so the empty base state gets the outcome ``Session.update``
+        gives in process, on every served view."""
+        empty = spec.schema.empty_instance()
+        requests = []
+        for view in spec.views:
+            targets = [view.apply(empty, spec.assignment)] + [
+                sample.target
+                for sample in spec.sample_requests
+                if sample.view == view.name
+            ]
+            requests += [
+                UpdateRequest(view.name, empty, target) for target in targets
+            ]
+
+        async def scenario(server, call):
+            await server._warmed.wait()
+            client = ServingClient("127.0.0.1", server.port)
+            try:
+                replies = [
+                    await call(client.submit, request, True)
+                    for request in requests
+                ]
+            finally:
+                client.close()
+            session = server.session.session
+            local = [
+                session.update(request.view, request.base, request.target)
+                for request in requests
+            ]
+            return replies, local
+
+        replies, local = run_with_server(spec, scenario)
+        for reply, outcome in zip(replies, local):
+            assert reply.status == 200
+            served = dict(reply.body["outcome"])
+            expected = outcome_to_wire(outcome)
+            served.pop("elapsed_ms")
+            expected.pop("elapsed_ms")
+            assert served == expected
+        assert {outcome.view_name for outcome in local} == {
+            view.name for view in spec.views
+        }
+        assert not any(
+            outcome.reason == "illegal-base-state" for outcome in local
+        )
 
 
 class TestProtocolErrors:

@@ -101,11 +101,11 @@ class TestPayloads:
         exc = errors.KernelFailureError(
             "both rungs failed",
             kind="analysis",
-            bitset_traceback="tb-bitset",
+            bulk_traceback="tb-bulk",
             naive_traceback="tb-naive",
         )
         assert exc.kind == "analysis"
-        assert exc.bitset_traceback == "tb-bitset"
+        assert exc.bulk_traceback == "tb-bulk"
         assert exc.naive_traceback == "tb-naive"
 
     def test_catch_all(self):
