@@ -29,10 +29,6 @@ The client side is :class:`~repro.engine.backends.remote.RemoteBackend`
 
 from __future__ import annotations
 
-from repro.artifactd.server import (
-    ArtifactServer,
-    DEFAULT_LEASE_TTL_MS,
-    LeaseTable,
-)
+from repro.artifactd.server import ArtifactServer, LeaseTable
 
-__all__ = ["ArtifactServer", "DEFAULT_LEASE_TTL_MS", "LeaseTable"]
+__all__ = ["ArtifactServer", "LeaseTable"]

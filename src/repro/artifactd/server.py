@@ -45,11 +45,9 @@ from urllib.parse import unquote
 
 from repro.engine.backends.envelope import validate_envelope_structure
 from repro.engine.keys import ArtifactKey
+from repro.resilience.locks import DEFAULT_LOCK_TTL_MS
 
-__all__ = ["ArtifactServer", "DEFAULT_LEASE_TTL_MS", "LeaseTable"]
-
-#: Lease TTL applied when an acquire request names none.
-DEFAULT_LEASE_TTL_MS = 30_000.0
+__all__ = ["ArtifactServer", "LeaseTable"]
 
 #: Per-envelope size ceiling: a runaway upload must not take the whole
 #: server's memory with it (413 when exceeded).
@@ -306,15 +304,17 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                 )
                 return
+            # An acquire that names no usable TTL gets the client
+            # library's default.
             raw_ttl = (
-                fields.get("ttl_ms", DEFAULT_LEASE_TTL_MS)
+                fields.get("ttl_ms", DEFAULT_LOCK_TTL_MS)
                 if isinstance(fields, dict)
-                else DEFAULT_LEASE_TTL_MS
+                else DEFAULT_LOCK_TTL_MS
             )
             ttl_ms = (
                 float(raw_ttl)
                 if isinstance(raw_ttl, (int, float)) and raw_ttl > 0
-                else DEFAULT_LEASE_TTL_MS
+                else DEFAULT_LOCK_TTL_MS
             )
             verdict = daemon.lease(key, holder, ttl_ms)
             self._send_json(200 if verdict["granted"] else 409, verdict)

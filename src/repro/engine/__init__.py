@@ -16,8 +16,7 @@ artifacts* behind one facade:
   :class:`~repro.engine.backends.ArtifactBackend` protocol and its
   implementations (pickle directory, SQLite database, remote HTTP
   artifact server), selected by
-  ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL`` or the legacy
-  ``REPRO_CACHE_DIR``;
+  ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``;
 * :mod:`repro.engine.engine` -- the :class:`~repro.engine.engine.Engine`
   facade and its :class:`~repro.engine.engine.Session` handles, whose
   :meth:`~repro.engine.engine.Session.update` services view updates and
@@ -51,7 +50,6 @@ __all__ = [
     "transient_token",
     "ArtifactKey",
     "ArtifactStore",
-    "CACHE_DIR_ENV_VAR",
     "ArtifactBackend",
     "BackendDegradedWarning",
     "LocalDirBackend",
@@ -69,7 +67,7 @@ __all__ = [
     "set_default_engine",
 ]
 
-_STORE_EXPORTS = {"ArtifactKey", "ArtifactStore", "CACHE_DIR_ENV_VAR"}
+_STORE_EXPORTS = {"ArtifactKey", "ArtifactStore"}
 _BACKEND_EXPORTS = {
     "ArtifactBackend",
     "BackendDegradedWarning",

@@ -6,8 +6,7 @@ envelopes live* is delegated to an
 :class:`~repro.engine.backends.base.ArtifactBackend`:
 
 * :class:`~repro.engine.backends.localdir.LocalDirBackend` -- one
-  enveloped pickle file per artifact in a directory
-  (``REPRO_CACHE_DIR``, the original behaviour);
+  enveloped pickle file per artifact in a directory;
 * :class:`~repro.engine.backends.sqlitedb.SQLiteBackend` -- one shared
   SQLite database (WAL mode, ``BEGIN IMMEDIATE`` writes,
   fingerprint-sharded namespace) safe for a fleet of processes on one
@@ -21,11 +20,10 @@ Selection: pass a backend to ``Engine(backend=...)`` /
 ``ArtifactStore(backend=...)``, or configure the environment --
 ``REPRO_STORE_BACKEND=local|sqlite|remote`` names the implementation
 and ``REPRO_STORE_URL`` its location (a directory for ``local``, a
-database file for ``sqlite``, an ``http(s)://`` URL for ``remote``).  Explicit constructor arguments beat
-the environment; ``REPRO_CACHE_DIR`` keeps working as the legacy
-spelling of a local backend.  A backend that fails to *open* degrades
-the store to memory-only with a typed warning counter -- persistence
-is never load-bearing.
+database file for ``sqlite``, an ``http(s)://`` URL for ``remote``).
+Explicit constructor arguments beat the environment.  A backend that
+fails to *open* degrades the store to memory-only with a typed warning
+counter -- persistence is never load-bearing.
 """
 
 from __future__ import annotations
@@ -133,8 +131,7 @@ def resolve_backend(
     Precedence: an explicit *cache_dir* (constructor argument) wins and
     means a local-dir backend -- tests and callers that pin a directory
     stay hermetic under any ambient environment -- then
-    ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``, then the legacy
-    ``REPRO_CACHE_DIR``.
+    ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``.
     """
     if cache_dir:
         return LocalDirBackend(
@@ -144,23 +141,12 @@ def resolve_backend(
             sleep=sleep,
         )
     name = os.environ.get(STORE_BACKEND_ENV_VAR)
-    if name is not None and name.strip():
-        url = os.environ.get(STORE_URL_ENV_VAR, "")
-        if not url and name.strip().lower() == "local":
-            url = os.environ.get("REPRO_CACHE_DIR", "")
-        return create_backend(
-            name,
-            url,
-            io_attempts=io_attempts,
-            io_backoff=io_backoff,
-            sleep=sleep,
-        )
-    legacy_dir = os.environ.get("REPRO_CACHE_DIR")
-    if legacy_dir:
-        return LocalDirBackend(
-            legacy_dir,
-            io_attempts=io_attempts,
-            io_backoff=io_backoff,
-            sleep=sleep,
-        )
-    return None
+    if name is None or not name.strip():
+        return None
+    return create_backend(
+        name,
+        os.environ.get(STORE_URL_ENV_VAR, ""),
+        io_attempts=io_attempts,
+        io_backoff=io_backoff,
+        sleep=sleep,
+    )

@@ -19,11 +19,13 @@ gear, layered strictly fail-open (the cache is never load-bearing):
    envelope check (bit rot, truncation, proxy damage) are a silent
    miss, counted, and the damaged entry is deleted server-side
    best-effort so corruption is paid for once.
-4. **A circuit breaker** -- after ``REPRO_REMOTE_BREAKER_THRESHOLD``
-   *consecutive* exhausted operations the backend stops calling the
-   server for ``REPRO_REMOTE_BREAKER_COOLDOWN_MS``, then lets one
-   probe through (half-open); a dead server costs each worker a few
-   timeouts, not a timeout per artifact.
+4. **A circuit breaker** -- a
+   :class:`~repro.resilience.breaker.CircuitBreaker` circuit keyed
+   ``("transport", url)``: after ``threshold`` *consecutive* exhausted
+   operations (3 by default) the backend stops calling the server for
+   ``cooldown_ms`` (5 s), then lets one probe through (half-open); a
+   dead server costs each worker a few timeouts, not a timeout per
+   artifact.
 5. **A write-behind spill tier** -- with ``REPRO_REMOTE_SPILL_DIR``
    set, everything the server cannot take lands in a local
    :class:`~repro.engine.backends.localdir.LocalDirBackend`; reads
@@ -69,16 +71,15 @@ from repro.engine.backends.base import (
 from repro.engine.backends.envelope import unwrap_payload, wrap_payload
 from repro.engine.backends.localdir import LocalDirBackend
 from repro.engine.keys import ArtifactKey
-from repro.errors import BackendUnavailableError
+from repro.errors import BackendUnavailableError, CircuitOpenError
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_check, fault_corrupt
-from repro.resilience.locks import leases_enabled, lock_ttl_ms
+from repro.resilience.locks import lock_ttl_ms
 
 __all__ = [
     "DEFAULT_REMOTE_TIMEOUT_MS",
     "DEFAULT_BREAKER_THRESHOLD",
     "DEFAULT_BREAKER_COOLDOWN_MS",
-    "REMOTE_BREAKER_COOLDOWN_ENV_VAR",
-    "REMOTE_BREAKER_THRESHOLD_ENV_VAR",
     "REMOTE_SPILL_ENV_VAR",
     "REMOTE_TIMEOUT_ENV_VAR",
     "RemoteBackend",
@@ -90,14 +91,6 @@ REMOTE_TIMEOUT_ENV_VAR = "REPRO_REMOTE_TIMEOUT_MS"
 
 #: Environment variable locating the local write-behind spill tier.
 REMOTE_SPILL_ENV_VAR = "REPRO_REMOTE_SPILL_DIR"
-
-#: Environment variable: consecutive exhausted ops before the breaker
-#: opens.
-REMOTE_BREAKER_THRESHOLD_ENV_VAR = "REPRO_REMOTE_BREAKER_THRESHOLD"
-
-#: Environment variable: how long an open breaker blocks the server
-#: before the half-open probe (milliseconds).
-REMOTE_BREAKER_COOLDOWN_ENV_VAR = "REPRO_REMOTE_BREAKER_COOLDOWN_MS"
 
 DEFAULT_REMOTE_TIMEOUT_MS = 2_000.0
 DEFAULT_BREAKER_THRESHOLD = 3
@@ -137,93 +130,6 @@ def remote_spill_dir(explicit: Optional[str] = None) -> Optional[str]:
     return raw
 
 
-def breaker_threshold(explicit: Optional[int] = None) -> int:
-    """Consecutive exhausted ops before the breaker opens (>= 1)."""
-    if explicit is not None:
-        return max(1, explicit)
-    raw = os.environ.get(REMOTE_BREAKER_THRESHOLD_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_BREAKER_THRESHOLD
-    return max(1, int(raw))
-
-
-def breaker_cooldown_ms(explicit: Optional[float] = None) -> float:
-    """How long an open breaker shields the server (milliseconds)."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(REMOTE_BREAKER_COOLDOWN_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_BREAKER_COOLDOWN_MS
-    return float(raw)
-
-
-class _TransportBreaker:
-    """Per-backend circuit breaker over *exhausted* operations.
-
-    Individual attempt failures are the retry policy's business; the
-    breaker counts operations that burned their whole attempt budget.
-    After ``threshold`` consecutive exhaustions it opens: every
-    :meth:`allow` answers ``False`` for ``cooldown_ms``, then exactly
-    one caller gets a half-open probe -- its success closes the
-    breaker, its failure re-arms the cooldown.
-    """
-
-    def __init__(self, threshold: int, cooldown_ms: float) -> None:
-        self.threshold = threshold
-        self.cooldown_ms = cooldown_ms
-        self._lock = threading.Lock()
-        self._consecutive_failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-        self.trips = 0
-
-    def allow(self) -> bool:
-        """Whether the caller may hit the network right now."""
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            elapsed_ms = (time.monotonic() - self._opened_at) * 1e3
-            if elapsed_ms < self.cooldown_ms:
-                return False
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._opened_at = None
-            self._probing = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._probing = False
-            self._consecutive_failures += 1
-            if self._opened_at is not None:
-                # Failed half-open probe: re-arm the cooldown.
-                self._opened_at = time.monotonic()
-            elif self._consecutive_failures >= self.threshold:
-                self._opened_at = time.monotonic()
-                self.trips += 1
-
-    def trip(self) -> None:
-        """Open immediately (a failed health probe at ``open()``)."""
-        with self._lock:
-            self._consecutive_failures = self.threshold
-            if self._opened_at is None:
-                self._opened_at = time.monotonic()
-                self.trips += 1
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            elapsed_ms = (time.monotonic() - self._opened_at) * 1e3
-            return "half-open" if elapsed_ms >= self.cooldown_ms else "open"
-
-
 class RemoteLease:
     """A TTL lease on one artifact, held at the artifact server.
 
@@ -251,13 +157,15 @@ class RemoteLease:
     def acquire(self) -> bool:
         self.acquired = self.waited = False
         self.took_over = self.timed_out = False
-        if self.ttl_ms <= 0 or not leases_enabled():
+        if self.ttl_ms <= 0:
             return False
         deadline = time.monotonic() + self.max_wait_ms / 1e3
         attempt = 0
         transport_failures = 0
         while True:
-            verdict = self._backend._lease_request(self._key, self.holder)
+            verdict = self._backend._lease_request(
+                self._key, self.holder, self.ttl_ms
+            )
             if verdict is None:
                 # Transport failure (or breaker open, or injected
                 # fault): a bounded number of strikes, then build
@@ -304,17 +212,20 @@ class RemoteBackend:
         sleep: Callable[[float], None] = time.sleep,
         timeout_ms: Optional[float] = None,
         spill_dir: Optional[str] = None,
-        threshold: Optional[int] = None,
-        cooldown_ms: Optional[float] = None,
+        threshold: int = DEFAULT_BREAKER_THRESHOLD,
+        cooldown_ms: float = DEFAULT_BREAKER_COOLDOWN_MS,
         rng: Optional[random.Random] = None,
     ) -> None:
         self.url = str(url).rstrip("/")
         self._retry = RetryPolicy(io_attempts, io_backoff, sleep)
         self.timeout_ms = remote_timeout_ms(timeout_ms)
         self.spill_dir = remote_spill_dir(spill_dir)
-        self._breaker = _TransportBreaker(
-            breaker_threshold(threshold), breaker_cooldown_ms(cooldown_ms)
+        # Raises ValueError for a threshold below 1 or a negative
+        # cooldown, as RetryPolicy does for io_attempts below 1.
+        self._breaker = CircuitBreaker(
+            threshold=threshold, cooldown_ms=cooldown_ms
         )
+        self._circuit = ("transport", self.url)
         # Retry jitter only -- nothing fingerprint-relevant draws from
         # this, so an unseeded default is fine (tests inject a seeded
         # one for reproducible pause sequences).
@@ -374,7 +285,7 @@ class RemoteBackend:
             )
         except Exception as exc:
             if self._spill is not None:
-                self._breaker.trip()
+                self._breaker.trip(*self._circuit)
                 warnings.warn(
                     BackendDegradedWarning(
                         f"artifact server {self.url} is unreachable"
@@ -390,7 +301,7 @@ class RemoteBackend:
             ) from exc
         if status != 200:
             if self._spill is not None:
-                self._breaker.trip()
+                self._breaker.trip(*self._circuit)
                 warnings.warn(
                     BackendDegradedWarning(
                         f"artifact server {self.url} answered"
@@ -527,7 +438,7 @@ class RemoteBackend:
         snapshot: Dict[str, object] = {
             "name": self.name,
             "url": self.url,
-            "breaker_state": self._breaker.state,
+            "breaker_state": self._breaker.state(*self._circuit),
             "breaker_trips": self._breaker.trips,
             **counters,
         }
@@ -541,13 +452,13 @@ class RemoteBackend:
     # -- lease plumbing (called by RemoteLease) -------------------------------
 
     def _lease_request(
-        self, key: ArtifactKey, holder: str
+        self, key: ArtifactKey, holder: str, ttl_ms: float
     ) -> Optional[Tuple[bool, bool]]:
         """One acquire round-trip: ``(granted, took_over)``, ``None``
         on transport failure or an open breaker."""
-        body = json.dumps(
-            {"holder": holder, "ttl_ms": lock_ttl_ms()}
-        ).encode("utf-8")
+        body = json.dumps({"holder": holder, "ttl_ms": ttl_ms}).encode(
+            "utf-8"
+        )
         outcome, reply, _ = self._op(
             "POST",
             self._lease_path(key),
@@ -596,12 +507,20 @@ class RemoteBackend:
         come back as ``"ok"`` with the conflict body -- the protocol
         speaks in JSON verdicts, not errors.
         """
-        if not self._breaker.allow():
+        try:
+            self._breaker.admit(*self._circuit)
+        except CircuitOpenError:
             with self._lock:
                 self._counters["breaker_rejections"] += 1
             return (_FAIL, None, 0)
         retries = 0
+        healthy = False
         for attempt in range(self._retry.attempts):
+            if attempt:
+                retries += 1
+                with self._lock:
+                    self._counters["transport_retries"] += 1
+                self._jitter_pause(attempt - 1)
             try:
                 check()
                 status, reply = self._http(
@@ -610,45 +529,25 @@ class RemoteBackend:
             except Exception:
                 # Connection refused/reset, timeout, truncated reply,
                 # or an injected fault -- all the same transient to us.
-                with self._lock:
-                    self._counters["transport_failures"] += 1
-                if attempt + 1 >= self._retry.attempts:
-                    self._breaker.record_failure()
-                    return (_FAIL, None, retries)
-                retries += 1
-                with self._lock:
-                    self._counters["transport_retries"] += 1
-                self._jitter_pause(attempt)
-                continue
-            if status >= 500:
-                # Server-side trouble: retryable, same as transport.
-                with self._lock:
-                    self._counters["transport_failures"] += 1
-                if attempt + 1 >= self._retry.attempts:
-                    self._breaker.record_failure()
-                    return (_FAIL, None, retries)
-                retries += 1
-                with self._lock:
-                    self._counters["transport_retries"] += 1
-                self._jitter_pause(attempt)
-                continue
-            self._breaker.record_success()
-            if status == 404:
-                return (_MISS, None, retries)
-            if status == 400 and method == "PUT":
-                # The server rejected the envelope's structural check:
-                # our bytes were damaged *in flight* (we just wrapped
-                # them).  Retry -- a clean connection will carry them.
-                with self._lock:
-                    self._counters["transport_failures"] += 1
-                if attempt + 1 >= self._retry.attempts:
-                    return (_FAIL, None, retries)
-                retries += 1
-                with self._lock:
-                    self._counters["transport_retries"] += 1
-                self._jitter_pause(attempt)
-                continue
-            return (_OK, reply, retries)
+                status, reply = 0, None
+            # No reply (status 0) and a 5xx (server-side trouble) are
+            # the same retryable transient; any other reply means the
+            # server is up, whatever it thought of the request.
+            healthy = 0 < status < 500
+            if healthy:
+                self._breaker.record_success(*self._circuit)
+                if status == 404:
+                    return (_MISS, None, retries)
+                # A 400 to a PUT: the server rejected the envelope's
+                # structural check, so our bytes were damaged *in
+                # flight* (we just wrapped them).  Retry -- a clean
+                # connection will carry them.
+                if status != 400 or method != "PUT":
+                    return (_OK, reply, retries)
+            with self._lock:
+                self._counters["transport_failures"] += 1
+        if not healthy:
+            self._breaker.record_failure(*self._circuit)
         return (_FAIL, None, retries)
 
     def _http(

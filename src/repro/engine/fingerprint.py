@@ -12,8 +12,8 @@ Objects participate in one of two regimes:
 * **content-addressed** -- the fingerprint is a pure function of the
   object's declarative content (relation schemas, constraints, query
   trees, domain extensions).  Such fingerprints are stable across
-  processes, which is what makes the optional on-disk artifact cache
-  (``REPRO_CACHE_DIR``) sound.
+  processes, which is what makes the optional persistent artifact
+  cache (``REPRO_STORE_BACKEND``) sound.
 * **transient** -- objects wrapping arbitrary Python callables (e.g.
   :class:`~repro.views.mappings.FunctionMapping`) cannot be content
   hashed.  They receive a unique per-process token instead: caching

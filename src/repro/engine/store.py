@@ -8,10 +8,10 @@ them under :class:`ArtifactKey`\\ s with
 
 * an in-memory LRU (bounded by ``max_entries``),
 * an optional **persistence backend**
-  (:mod:`repro.engine.backends`) -- the local pickle directory named
-  by ``REPRO_CACHE_DIR``, or any :class:`ArtifactBackend` selected via
-  ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL`` or passed explicitly --
-  used only for artifacts whose inputs are content-addressed,
+  (:mod:`repro.engine.backends`) -- any :class:`ArtifactBackend`
+  selected via ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``, named by
+  an explicit ``cache_dir``, or passed explicitly -- used only for
+  artifacts whose inputs are content-addressed,
 * dependency-aware invalidation (dropping a space drops the posets,
   analyses, algebras, and procedures derived from it -- in memory *and*
   in the backend, so stale artifacts cannot resurrect), and
@@ -56,7 +56,6 @@ mapping from semantic operations to keys and dependencies.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
@@ -70,32 +69,13 @@ from repro.engine.backends import (
     BackendDegradedWarning,
     resolve_backend,
 )
-from repro.engine.backends.envelope import (
-    ENVELOPE_MAGIC,
-    ENVELOPE_VERSION,
-    HEADER as _HEADER,
-    unwrap_payload as _unwrap_payload,
-    wrap_payload as _wrap_payload,
-)
 from repro.engine.keys import ArtifactKey
 
 __all__ = [
     "ArtifactKey",
     "ArtifactStore",
-    "CACHE_DIR_ENV_VAR",
-    "ENVELOPE_MAGIC",
-    "ENVELOPE_VERSION",
     "KindStats",
-    # Deprecated aliases of the envelope helpers, re-exported for one
-    # PR while callers migrate to repro.engine.backends.envelope.
-    "_HEADER",
-    "_unwrap_payload",
-    "_wrap_payload",
 ]
-
-#: Environment variable naming the on-disk cache directory (the legacy
-#: spelling of a local-dir backend; see :mod:`repro.engine.backends`).
-CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
 
 @dataclass
@@ -181,10 +161,10 @@ class ArtifactStore:
     """LRU + pluggable persistence backend, keyed by fingerprints."""
 
     max_entries: int = 256
-    #: Legacy spelling of a local-dir backend; an explicit value here
-    #: pins persistence to that directory regardless of the
-    #: ``REPRO_STORE_BACKEND`` environment (hermeticity for tests and
-    #: embedding callers).  ``backend`` wins over both.
+    #: A local-dir backend at this directory; an explicit value here
+    #: pins persistence to it regardless of the ``REPRO_STORE_BACKEND``
+    #: environment (hermeticity for tests and embedding callers).
+    #: ``backend`` wins over both.
     cache_dir: Optional[str] = None
     #: Bounded retry for transient I/O errors on backend load/save.
     io_attempts: int = 3
@@ -219,9 +199,6 @@ class ArtifactStore:
     _sleep = staticmethod(time.sleep)
 
     def __post_init__(self) -> None:
-        explicit_dir = self.cache_dir
-        if self.cache_dir is None:
-            self.cache_dir = os.environ.get(CACHE_DIR_ENV_VAR) or None
         if self.max_entries < 1:
             # reprolint: disable=RL001 -- argument validation on the public capacity knob; stdlib idiom
             raise ValueError("max_entries must be positive")
@@ -233,7 +210,7 @@ class ArtifactStore:
             # typo'd selection knob must not silently disable
             # persistence.
             self.backend = resolve_backend(
-                cache_dir=explicit_dir,
+                cache_dir=self.cache_dir,
                 io_attempts=self.io_attempts,
                 io_backoff=self.io_backoff,
                 sleep=self._sleep,
@@ -263,12 +240,6 @@ class ArtifactStore:
                 BackendDegradedWarning,
                 stacklevel=3,
             )
-
-    @property
-    def swept_temp_files(self) -> int:
-        """Deprecated alias for the backend's ``sweep_reclaimed`` stat."""
-        reclaimed = getattr(self.backend, "sweep_reclaimed", 0)
-        return int(reclaimed) if reclaimed else 0
 
     # -- core protocol -----------------------------------------------------------
 

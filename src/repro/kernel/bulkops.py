@@ -19,9 +19,9 @@ sweeps of ``&``/``|``/``^``/``bit_count``:
   read set, which lets view image tables be evaluated once per distinct
   restriction instead of once per state;
 * :class:`StrideTicker` -- amortized ``guard.tick`` bookkeeping: hot
-  loops charge the guard once per ``REPRO_TICK_STRIDE`` iterations (256
-  by default) with the stride accounted exactly in the step budget, so
-  cooperative cancellation stays accurate without a per-state call.
+  loops charge the guard once per 256 iterations with the stride
+  accounted exactly in the step budget, so cooperative cancellation
+  stays accurate without a per-state call.
 
 Packing invariants (DESIGN.md "Word-packed memory layout"): bit ``i``
 of every family-level mask refers to the ``i``-th element of the
@@ -34,55 +34,26 @@ byte-identical to the naive kernel's.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
 from repro.resilience.guard import ExecutionGuard, current_guard
 
 __all__ = [
     "DEFAULT_TICK_STRIDE",
-    "TICK_STRIDE_ENV_VAR",
     "UNION_CHUNK_BITS",
     "StrideTicker",
     "chunked_union_tables",
     "fiber_masks",
     "pullback_monotone",
     "restriction_key_mask",
-    "tick_stride",
     "transpose_masks",
     "union_selected",
     "union_selected_chunked",
 ]
 
-#: Environment knob: iterations per amortized ``guard.tick`` in kernel
-#: hot loops (the stride is charged to the step budget in full).
-TICK_STRIDE_ENV_VAR = "REPRO_TICK_STRIDE"
+#: Iterations per amortized ``guard.tick`` in kernel hot loops (the
+#: stride is charged to the step budget in full).
 DEFAULT_TICK_STRIDE = 256
-
-
-def tick_stride() -> int:
-    """The amortized tick stride (``REPRO_TICK_STRIDE``, default 256).
-
-    A malformed or non-positive value raises eagerly: a typo'd stride
-    must not silently disable cooperative cancellation.
-    """
-    raw = os.environ.get(TICK_STRIDE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_TICK_STRIDE
-    try:
-        stride = int(raw)
-    except ValueError:
-        raise ReproError(
-            f"${TICK_STRIDE_ENV_VAR} must be a positive integer, "
-            f"got {raw!r}"
-        ) from None
-    if stride <= 0:
-        raise ReproError(
-            f"${TICK_STRIDE_ENV_VAR} must be a positive integer, "
-            f"got {raw!r}"
-        )
-    return stride
 
 
 class StrideTicker:
@@ -103,10 +74,10 @@ class StrideTicker:
     def __init__(
         self,
         guard: Optional[ExecutionGuard] = None,
-        stride: Optional[int] = None,
+        stride: int = DEFAULT_TICK_STRIDE,
     ) -> None:
         self._guard = current_guard() if guard is None else guard
-        self._stride = tick_stride() if stride is None else stride
+        self._stride = stride
         self._pending = 0
 
     def tick(self) -> None:

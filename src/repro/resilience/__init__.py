@@ -21,7 +21,8 @@ makes that guarantee operational for the machinery around the theory:
   (:class:`CircuitBreaker`) that converts deterministic kernel crashes
   into fast typed :class:`~repro.errors.CircuitOpenError`\\ s (or pins
   the derivation to the naive kernel) instead of re-running the
-  degradation ladder per request.
+  degradation ladder per request; the remote artifact backend runs its
+  transport circuit on the same class.
 
 The degradation ladder (bulk kernel -> naive kernel -> typed
 :class:`~repro.errors.KernelFailureError`) and the checksummed cache
@@ -53,9 +54,7 @@ from repro.resilience.guard import (
 from repro.resilience.locks import (
     DEFAULT_LOCK_TTL_MS,
     FileLease,
-    LOCK_DISABLE_ENV_VAR,
     LOCK_TTL_ENV_VAR,
-    leases_enabled,
     lock_ttl_ms,
     sweep_stale_temp_files,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "FaultRule",
     "FileLease",
     "InjectedFault",
-    "LOCK_DISABLE_ENV_VAR",
     "LOCK_TTL_ENV_VAR",
     "PIN_NAIVE",
     "RAISE",
@@ -97,7 +95,6 @@ __all__ = [
     "guarded",
     "inject",
     "install_plan",
-    "leases_enabled",
     "lock_ttl_ms",
     "sweep_stale_temp_files",
 ]

@@ -25,6 +25,14 @@ The breaker follows the classical state machine::
     HALF-OPEN: exactly one probe runs the full ladder;
                success -> CLOSED, failure -> OPEN (fresh cooldown)
 
+The same state machine guards the remote artifact backend's transport
+(:class:`~repro.engine.backends.remote.RemoteBackend`): one circuit
+keyed ``("transport", url)`` counts HTTP operations that exhausted
+their retries, and :meth:`CircuitBreaker.trip` opens it at once when
+the backend's opening health probe fails.  Every opening -- threshold
+crossed, failed half-open probe, or explicit trip -- counts toward
+:attr:`CircuitBreaker.trips`, which survives recovery.
+
 Everything is guarded by one lock and the clock is injectable, so the
 state machine is thread-safe and unit-testable without sleeping.
 """
@@ -118,6 +126,7 @@ class CircuitBreaker:
         self._clock = clock
         self._lock = threading.RLock()
         self._states: Dict[Tuple[str, str], _DerivationState] = {}
+        self._trips = 0
 
     @classmethod
     def from_env(
@@ -229,19 +238,59 @@ class CircuitBreaker:
             state.failures += 1
             if state.state == HALF_OPEN:
                 # The probe failed: back to open, fresh cooldown.
-                state.state = OPEN
-                state.opened_at = self._clock()
-                state.trips += 1
+                self._open(state)
                 state.probing = False
             elif state.state == CLOSED:
                 if state.failures >= self.threshold:
-                    state.state = OPEN
-                    state.opened_at = self._clock()
-                    state.trips += 1
+                    self._open(state)
             else:
                 # Already open (a pinned build failed): restart the
                 # cooldown so probes back off while it keeps crashing.
                 state.opened_at = self._clock()
+
+    def trip(self, kind: str, fingerprint: str) -> None:
+        """Open one circuit at once, without waiting for failures.
+
+        For callers that learn out of band that the guarded resource
+        is down (a failed health probe).  An already open or
+        half-open circuit is left as it is.
+        """
+        with self._lock:
+            state = self._states.setdefault(
+                (kind, fingerprint), _DerivationState()
+            )
+            if state.state == CLOSED:
+                self._open(state)
+
+    # reprolint: holds-lock
+    def _open(self, state: _DerivationState) -> None:
+        state.state = OPEN
+        state.opened_at = self._clock()
+        state.trips += 1
+        self._trips += 1
+
+    @property
+    def trips(self) -> int:
+        """How many times any circuit opened, recoveries included."""
+        with self._lock:
+            return self._trips
+
+    def state(self, kind: str, fingerprint: str) -> str:
+        """One circuit's state: :data:`CLOSED`, :data:`OPEN` or
+        :data:`HALF_OPEN` (an open circuit past its cooldown)."""
+        with self._lock:
+            state = self._states.get((kind, fingerprint))
+            if state is None:
+                return CLOSED
+            return self._effective(state, self._clock())
+
+    def _effective(self, state: _DerivationState, now: float) -> str:
+        if (
+            state.state == OPEN
+            and (now - state.opened_at) * 1e3 >= self.cooldown_ms
+        ):
+            return HALF_OPEN
+        return state.state
 
     def retry_hint_ms(self) -> Optional[float]:
         """Milliseconds until the soonest open circuit allows a probe.
@@ -290,16 +339,10 @@ class CircuitBreaker:
             now = self._clock()
             entries = {}
             for (kind, fingerprint), state in sorted(self._states.items()):
-                effective = state.state
-                if (
-                    effective == OPEN
-                    and (now - state.opened_at) * 1e3 >= self.cooldown_ms
-                ):
-                    effective = HALF_OPEN
                 entries[f"{kind}:{fingerprint[:12]}"] = {
                     "kind": kind,
                     "fingerprint": fingerprint,
-                    "state": effective,
+                    "state": self._effective(state, now),
                     "failures": state.failures,
                     "trips": state.trips,
                 }

@@ -23,8 +23,7 @@ Stale leases cannot wedge the system.  The lockfile payload is
 ``"<pid> <unix-timestamp>"``; a holder whose pid is dead is taken over
 by the next contender at once, and one whose lease has outlived the
 TTL (``REPRO_CACHE_LOCK_TTL_MS``, default 30 s) once the TTL expires.
-``REPRO_CACHE_LOCKS=off`` (or a non-positive TTL) disables leasing
-entirely.
+A TTL of 0 (or below) disables leasing entirely.
 
 :func:`sweep_stale_temp_files` removes the per-pid ``*.tmp`` files a
 crashed writer left behind; the local-dir backend
@@ -49,9 +48,7 @@ from repro.resilience.faults import fault_check
 __all__ = [
     "DEFAULT_LOCK_TTL_MS",
     "FileLease",
-    "LOCK_DISABLE_ENV_VAR",
     "LOCK_TTL_ENV_VAR",
-    "leases_enabled",
     "lock_ttl_ms",
     "sweep_stale_temp_files",
 ]
@@ -59,17 +56,12 @@ __all__ = [
 #: Environment variable overriding the stale-lease TTL (milliseconds).
 LOCK_TTL_ENV_VAR = "REPRO_CACHE_LOCK_TTL_MS"
 
-#: Environment variable disabling leases ("0", "off", "false", "no").
-LOCK_DISABLE_ENV_VAR = "REPRO_CACHE_LOCKS"
-
 #: Default TTL: a holder silent for this long is presumed dead.
 DEFAULT_LOCK_TTL_MS = 30_000.0
 
 #: Per-wait sleep ceiling (seconds); backoff doubles up to this cap so
 #: waiters notice a released lease promptly without busy-spinning.
 _MAX_SLEEP = 0.1
-
-_DISABLING_VALUES = ("0", "off", "false", "no")
 
 
 def lock_ttl_ms() -> float:
@@ -82,14 +74,6 @@ def lock_ttl_ms() -> float:
     if raw is None or not raw.strip():
         return DEFAULT_LOCK_TTL_MS
     return float(raw)
-
-
-def leases_enabled() -> bool:
-    """Whether cross-process leases are active for this process."""
-    raw = os.environ.get(LOCK_DISABLE_ENV_VAR, "").strip().lower()
-    if raw in _DISABLING_VALUES:
-        return False
-    return lock_ttl_ms() > 0
 
 
 def _pid_alive(pid: int) -> bool:
@@ -148,7 +132,7 @@ class FileLease:
         """Try to take the lease; never raises, never waits past TTL."""
         self.acquired = self.waited = False
         self.took_over = self.timed_out = False
-        if self.ttl_ms <= 0 or not leases_enabled():
+        if self.ttl_ms <= 0:
             return False
         try:
             fault_check("lock.acquire")

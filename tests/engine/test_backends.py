@@ -6,8 +6,8 @@ Four contracts are pinned here:
   :class:`~repro.engine.backends.base.ArtifactBackend` protocol and
   agree on round-trip, miss, delete, and stats behaviour;
 * **selection** -- explicit backend beats explicit ``cache_dir`` beats
-  ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL`` beats the legacy
-  ``REPRO_CACHE_DIR``; a typo'd selection fails eagerly and typed;
+  ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``; a typo'd selection
+  fails eagerly and typed;
 * **degradation** -- a backend that cannot open downgrades the store
   to memory-only with a warning and a counter, never an exception;
 * **fleet exactly-once** -- ≥3 forked processes sharing one SQLite
@@ -38,7 +38,7 @@ from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import BackendConfigError, BackendUnavailableError
 from repro.kernel.config import use_kernel
 from repro.resilience.faults import inject
-from repro.resilience.locks import LOCK_DISABLE_ENV_VAR, LOCK_TTL_ENV_VAR
+from repro.resilience.locks import LOCK_TTL_ENV_VAR
 
 KEY = ArtifactKey("space", "fingerprint01", "bitset")
 
@@ -49,7 +49,6 @@ DEAD_PID = 2**22 - 1
 @pytest.fixture(autouse=True)
 def hermetic_env(monkeypatch):
     """Selection and counter tests must not inherit ambient knobs."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
     with inject(None):
@@ -178,7 +177,6 @@ class TestSQLiteSpecifics:
         """A lockfile left under ``<db>.leases/`` by a crashed holder
         needs no sweep: the next contender takes it over without
         waiting, and neither ``open()`` nor ``sweep()`` touches it."""
-        monkeypatch.delenv(LOCK_DISABLE_ENV_VAR, raising=False)
         monkeypatch.delenv(LOCK_TTL_ENV_VAR, raising=False)
         backend = make_sqlite(tmp_path)
         lease = backend.lease_for(KEY)
@@ -234,7 +232,7 @@ class TestLocalDirSweep:
         root = tmp_path / "cache"
         self._stale_temp(root)
         store = ArtifactStore(cache_dir=str(root))
-        assert store.swept_temp_files == 1
+        assert store.backend.sweep_reclaimed == 1
 
     def test_open_on_a_file_is_unavailable(self, tmp_path):
         not_a_dir = tmp_path / "file"
@@ -268,18 +266,12 @@ class TestSelection:
         assert isinstance(store.backend, SQLiteBackend)
         assert store.backend.url == str(tmp_path / "db")
 
-    def test_env_local_falls_back_to_cache_dir_url(self, tmp_path, monkeypatch):
+    def test_env_selects_local(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "local")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_URL", str(tmp_path))
         store = ArtifactStore()
         assert isinstance(store.backend, LocalDirBackend)
         assert store.backend.root == str(tmp_path)
-
-    def test_legacy_cache_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store = ArtifactStore()
-        assert isinstance(store.backend, LocalDirBackend)
-        assert store.cache_dir == str(tmp_path)
 
     def test_unknown_backend_name_fails_eagerly(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "sqllite")  # typo

@@ -1,9 +1,8 @@
 """Property tests: cached artifacts are indistinguishable from cold builds.
 
 For random small schemas, the state space served from the artifact cache
--- whether an in-memory hit or a disk round-trip through
-``REPRO_CACHE_DIR`` -- must equal the cold-built one, under both kernel
-modes.
+-- whether an in-memory hit or a disk round-trip through a cache
+directory -- must equal the cold-built one, under both kernel modes.
 """
 
 import shutil

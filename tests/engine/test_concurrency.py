@@ -4,7 +4,7 @@ Three layers of the tentpole guarantee are exercised here:
 
 * in-process single-flight -- N threads requesting one missing key
   produce exactly one build, the rest coalesce;
-* cross-process leases -- N processes sharing one ``REPRO_CACHE_DIR``
+* cross-process leases -- N processes sharing one cache directory
   produce exactly one build of a contended artifact, the rest read the
   winner's envelope from disk;
 * serving correctness -- a thread-stressed session returns verdicts
@@ -31,7 +31,6 @@ THREADS = 8
 @pytest.fixture(autouse=True)
 def _hermetic_cache(monkeypatch):
     """Counter assertions need stores without an ambient disk cache."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
 

@@ -20,7 +20,6 @@ def hermetic_faults():
 def hermetic_store_env(monkeypatch):
     """Exact-counter tests must not inherit an ambient persistence
     backend (CI's sqlite matrix job exports one for the whole run)."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
 
@@ -158,20 +157,10 @@ class TestDiskCache:
         )
         assert not (tmp_path / key("space", "f1").filename()).exists()
 
-    def test_no_dir_means_no_persistence(self, tmp_path, monkeypatch):
-        from repro.engine.store import CACHE_DIR_ENV_VAR
-
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+    def test_no_dir_means_no_persistence(self):
         store = ArtifactStore()
         store.get_or_build(key("space", "f1"), lambda: 1, persist=True)
-        assert store.cache_dir is None
-
-    def test_cache_dir_from_environment(self, tmp_path, monkeypatch):
-        from repro.engine.store import CACHE_DIR_ENV_VAR
-
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        store = ArtifactStore()
-        assert store.cache_dir == str(tmp_path)
+        assert store.backend is None
 
 
 class TestDiskInvalidation:

@@ -20,15 +20,14 @@ import struct
 import pytest
 
 from repro.engine.backends import LocalDirBackend, SQLiteBackend
-from repro.engine.store import (
+from repro.engine.backends.envelope import (
     ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
-    ArtifactKey,
-    ArtifactStore,
-    _HEADER,
-    _unwrap_payload,
-    _wrap_payload,
+    HEADER,
+    unwrap_payload,
+    wrap_payload,
 )
+from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.resilience.faults import inject
 
 KEY = ArtifactKey("space", "f1", "bitset")
@@ -99,7 +98,7 @@ def truncate_half(blob: bytes) -> bytes:
 
 
 def truncate_inside_header(blob: bytes) -> bytes:
-    return blob[: _HEADER.size - 3]
+    return blob[: HEADER.size - 3]
 
 
 def flip_payload_byte(blob: bytes) -> bytes:
@@ -115,10 +114,10 @@ def flip_header_byte(blob: bytes) -> bytes:
 
 
 def wrong_version(blob: bytes) -> bytes:
-    magic, _version, length, digest = _HEADER.unpack_from(blob)
+    magic, _version, length, digest = HEADER.unpack_from(blob)
     return (
-        _HEADER.pack(magic, ENVELOPE_VERSION + 1, length, digest)
-        + blob[_HEADER.size :]
+        HEADER.pack(magic, ENVELOPE_VERSION + 1, length, digest)
+        + blob[HEADER.size :]
     )
 
 
@@ -171,33 +170,33 @@ class TestDamagedEntries:
         assert fresh.stats()["backend"]["kinds"]["space"]["disk_hits"] == 1
 
     def test_unwrap_rejects_without_raising(self, damage):
-        blob = damage(_wrap_payload(b"payload"))
-        assert _unwrap_payload(blob) is None
+        blob = damage(wrap_payload(b"payload"))
+        assert unwrap_payload(blob) is None
 
 
 class TestEnvelopeFormat:
     def test_round_trip(self):
         payload = b"some pickled artifact bytes"
-        assert _unwrap_payload(_wrap_payload(payload)) == payload
+        assert unwrap_payload(wrap_payload(payload)) == payload
 
     def test_header_layout(self):
-        blob = _wrap_payload(b"x")
-        magic, version, length, _digest = _HEADER.unpack_from(blob)
+        blob = wrap_payload(b"x")
+        magic, version, length, _digest = HEADER.unpack_from(blob)
         assert magic == ENVELOPE_MAGIC
         assert version == ENVELOPE_VERSION
         assert length == 1
 
     def test_foreign_file_is_rejected(self):
-        assert _unwrap_payload(b"not an artifact at all") is None
+        assert unwrap_payload(b"not an artifact at all") is None
 
     def test_length_field_is_checked(self):
         payload = b"payload"
-        blob = _wrap_payload(payload)
+        blob = wrap_payload(payload)
         magic, version, _length, digest = struct.unpack_from(
-            _HEADER.format, blob
+            HEADER.format, blob
         )
-        lying = _HEADER.pack(magic, version, len(payload) + 5, digest)
-        assert _unwrap_payload(lying + payload) is None
+        lying = HEADER.pack(magic, version, len(payload) + 5, digest)
+        assert unwrap_payload(lying + payload) is None
 
 
 class TestCrossBackendPortability:

@@ -82,7 +82,7 @@ def analysis_signature(analysis):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(universes())
 def test_enumeration_and_poset_agree(universe):
     schema, assignment = universe

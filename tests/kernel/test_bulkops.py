@@ -11,15 +11,13 @@ import random
 import pytest
 
 from repro.algebra.poset import FinitePoset
-from repro.errors import PosetError, ReproError
+from repro.errors import PosetError
 from repro.kernel.bulkops import (
     DEFAULT_TICK_STRIDE,
-    TICK_STRIDE_ENV_VAR,
     StrideTicker,
     fiber_masks,
     pullback_monotone,
     restriction_key_mask,
-    tick_stride,
     transpose_masks,
     union_selected,
 )
@@ -127,23 +125,14 @@ class TestRestrictionKeyMask:
 
 
 class TestTickStride:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(TICK_STRIDE_ENV_VAR, raising=False)
-        assert tick_stride() == DEFAULT_TICK_STRIDE == 256
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TICK_STRIDE_ENV_VAR, "17")
-        assert tick_stride() == 17
-
-    def test_blank_means_default(self, monkeypatch):
-        monkeypatch.setenv(TICK_STRIDE_ENV_VAR, "   ")
-        assert tick_stride() == DEFAULT_TICK_STRIDE
-
-    @pytest.mark.parametrize("value", ["zero", "0", "-4", "1.5"])
-    def test_malformed_or_nonpositive_raises(self, monkeypatch, value):
-        monkeypatch.setenv(TICK_STRIDE_ENV_VAR, value)
-        with pytest.raises(ReproError, match="positive integer"):
-            tick_stride()
+    def test_default(self):
+        guard = ExecutionGuard()
+        ticker = StrideTicker(guard=guard)
+        for _ in range(DEFAULT_TICK_STRIDE - 1):
+            ticker.tick()
+        assert guard.steps == 0
+        ticker.tick()
+        assert guard.steps == DEFAULT_TICK_STRIDE == 256
 
 
 class TestStrideTicker:

@@ -1,24 +1,21 @@
-"""Property tests: kernel equivalence on random small schemas.
+"""Property tests: pruned enumeration on random small schemas.
 
-Two invariants, each over randomly drawn schemas (1-2 relations,
-domains of size 1-2, optional FD/JD constraints):
-
-* ``enumerate_instances(prune=True)`` ≡ ``prune=False`` -- pruning is
-  an optimisation, never a semantic change;
-* the bulk kernel ≡ the naive kernel -- same states in the same
-  order, and the same poset order matrix.
+Over randomly drawn schemas (1-2 relations, domains of size 1-2,
+optional FD/JD constraints), ``enumerate_instances(prune=True)`` ≡
+``prune=False`` -- pruning is an optimisation, never a semantic
+change.  Bulk ≡ naive over the same strategy is
+``tests/kernel/test_bulk_equivalence.py``'s first invariant.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.config import use_kernel
 from repro.relational.constraints import (
     FunctionalDependency,
     InclusionDependency,
     JoinDependency,
 )
-from repro.relational.enumeration import StateSpace, enumerate_instances
+from repro.relational.enumeration import enumerate_instances
 from repro.relational.schema import RelationSchema, Schema
 from repro.typealgebra.assignment import TypeAssignment
 
@@ -67,24 +64,3 @@ def test_prune_is_semantics_preserving(universe):
     naive = list(enumerate_instances(schema, assignment, prune=False))
     assert set(pruned) == set(naive)
 
-
-@settings(max_examples=60, deadline=None)
-@given(universes())
-def test_bulk_and_naive_kernels_agree(universe):
-    schema, assignment = universe
-    per_mode = {}
-    for mode in ("bulk", "naive"):
-        with use_kernel(mode):
-            states = {
-                prune: list(
-                    enumerate_instances(schema, assignment, prune=prune)
-                )
-                for prune in (True, False)
-            }
-            space = StateSpace.enumerate(schema, assignment)
-            per_mode[mode] = (
-                states,
-                space.states,
-                space.poset.leq_matrix(),
-            )
-    assert per_mode["bulk"] == per_mode["naive"]

@@ -65,7 +65,7 @@ class TestEqualityAndHash:
         """The cached hash must be recomputed on unpickle: it is built
         on per-process-randomized str hashes, and artifacts pickled by
         one process are looked up in sets/dicts by another (the shared
-        ``REPRO_CACHE_DIR`` cross-process cache)."""
+        cross-process artifact cache)."""
         import os
         import pickle
         import subprocess

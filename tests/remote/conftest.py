@@ -18,15 +18,11 @@ from repro.resilience.faults import inject
 
 #: Every knob the remote tier reads; tests must not inherit ambient ones.
 REMOTE_ENV_VARS = (
-    "REPRO_CACHE_DIR",
     "REPRO_STORE_BACKEND",
     "REPRO_STORE_URL",
     "REPRO_REMOTE_TIMEOUT_MS",
     "REPRO_REMOTE_SPILL_DIR",
-    "REPRO_REMOTE_BREAKER_THRESHOLD",
-    "REPRO_REMOTE_BREAKER_COOLDOWN_MS",
     "REPRO_CACHE_LOCK_TTL_MS",
-    "REPRO_CACHE_LOCKS",
 )
 
 

@@ -343,4 +343,9 @@ class TestSocketLifecycle:
                 # its finally must close our end (recv sees EOF rather
                 # than hanging until the timeout).
                 assert client.recv(1024) == b""
+            # EOF arrives as soon as the client end is closed, which
+            # can be before the same finally closes the upstream end.
+            deadline = time.monotonic() + 5.0
+            while len(closed) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
             assert len(closed) >= 2  # client and upstream both closed

@@ -87,12 +87,16 @@ class TestProtocol:
 
 
 class TestSelection:
-    def test_env_selects_remote(self, artifactd, monkeypatch):
+    def test_env_selects_remote(self, artifactd, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "remote")
         monkeypatch.setenv("REPRO_STORE_URL", artifactd.url)
+        monkeypatch.setenv("REPRO_REMOTE_TIMEOUT_MS", "750")
+        monkeypatch.setenv("REPRO_REMOTE_SPILL_DIR", str(tmp_path))
         backend = resolve_backend()
         assert isinstance(backend, RemoteBackend)
         assert backend.url == artifactd.url
+        assert backend.timeout_ms == 750.0
+        assert backend.spill_dir == str(tmp_path)
 
     def test_create_backend_remote(self, artifactd):
         backend = create_backend("remote", artifactd.url)
@@ -151,8 +155,9 @@ class TestRemoteLease:
         assert successor.took_over
 
     def test_disabled_leases_answer_false(self, artifactd, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_LOCKS", "off")
+        monkeypatch.setenv("REPRO_CACHE_LOCK_TTL_MS", "0")
         assert not open_remote(artifactd).lease_for(KEY).acquire()
+        assert artifactd.stats()["counters"]["lease_grants"] == 0
 
     def test_dead_transport_builds_unleased(self, artifactd):
         backend = open_remote(artifactd, io_attempts=2)
@@ -256,6 +261,74 @@ class TestBreaker:
         # closes the breaker; service is fully restored.
         assert backend.get(KEY).payload == b"payload"
         assert backend.stats()["breaker_state"] == "closed"
+        # Recovery closes the circuit but keeps the trip on record.
+        assert backend.stats()["breaker_trips"] == 1
+
+
+    def test_threshold_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            make_remote(DEAD_URL, threshold=0)
+
+
+class TestReplyVerdicts:
+    """What one logical operation makes of each reply: what is retried,
+    and what the transport breaker is told."""
+
+    @staticmethod
+    def _script(backend, replies):
+        def scripted(method, path, body, timeout_s):
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        backend._http = scripted
+
+    def test_put_damaged_in_flight_is_retried(self, artifactd):
+        backend = open_remote(artifactd, threshold=1)
+        self._script(backend, [(400, b"damaged"), (204, b"")])
+        result = backend.put(KEY, b"payload")
+        assert result.persisted
+        assert result.io_retries == 1
+        assert backend.stats()["transport_failures"] == 1
+
+    def test_put_rejections_are_breaker_successes(self, artifactd):
+        backend = open_remote(artifactd, threshold=1)
+        self._script(backend, [(400, b"damaged")] * 3)
+        result = backend.put(KEY, b"payload")
+        assert not result.persisted
+        assert result.io_retries == 2
+        stats = backend.stats()
+        assert stats["transport_failures"] == 3
+        # The server answered every time: threshold 1 stays closed.
+        assert stats["breaker_state"] == "closed"
+
+    def test_not_found_is_a_miss(self, artifactd):
+        backend = open_remote(artifactd, threshold=1)
+        self._script(backend, [(404, b"")])
+        got = backend.get(KEY)
+        assert got.payload is None
+        assert not got.corrupt
+        assert got.io_retries == 0
+        stats = backend.stats()
+        assert stats["transport_failures"] == 0
+        assert stats["breaker_state"] == "closed"
+
+    @pytest.mark.parametrize(
+        "failure", [ConnectionError("injected"), (503, b"")]
+    )
+    def test_exhausted_op_is_one_breaker_failure(self, artifactd, failure):
+        backend = open_remote(artifactd, io_attempts=2, threshold=2)
+        self._script(backend, [failure] * 4)
+        assert backend.get(KEY).io_retries == 1
+        stats = backend.stats()
+        assert stats["transport_failures"] == 2
+        assert stats["transport_retries"] == 1
+        assert stats["breaker_state"] == "closed"
+        backend.get(KEY)
+        stats = backend.stats()
+        assert stats["breaker_state"] == "open"
+        assert stats["breaker_trips"] == 1
 
 
 class TestCorruptEnvelopes:

@@ -22,9 +22,8 @@ from repro.resilience.faults import FaultPlan, FaultRule, inject
 @pytest.fixture(autouse=True)
 def _hermetic_engine_env(monkeypatch):
     """Counter assertions need engines unaffected by ambient knobs
-    (a shared ``REPRO_CACHE_DIR`` would serve rebuilds from disk)."""
+    (a shared persistence backend would serve rebuilds from disk)."""
     for var in (
-        "REPRO_CACHE_DIR",
         "REPRO_STORE_BACKEND",
         "REPRO_STORE_URL",
         "REPRO_BREAKER_THRESHOLD",
@@ -154,6 +153,24 @@ class TestStateMachine:
         clock.advance_ms(150)
         (entry,) = breaker.snapshot()["entries"].values()
         assert entry["state"] == HALF_OPEN
+
+    def test_trip_opens_at_once_and_trips_survive_recovery(self, clock):
+        breaker = CircuitBreaker(threshold=3, cooldown_ms=100, clock=clock)
+        assert breaker.state("transport", "url") == CLOSED
+        breaker.trip("transport", "url")
+        assert breaker.state("transport", "url") == OPEN
+        breaker.trip("transport", "url")  # already open: not a new trip
+        assert breaker.trips == 1
+        clock.advance_ms(150)
+        assert breaker.state("transport", "url") == HALF_OPEN
+        assert breaker.admit("transport", "url") == PROBE
+        breaker.record_failure("transport", "url")  # a failed probe trips
+        assert breaker.trips == 2
+        clock.advance_ms(150)
+        assert breaker.admit("transport", "url") == PROBE
+        breaker.record_success("transport", "url")
+        assert breaker.state("transport", "url") == CLOSED
+        assert breaker.trips == 2
 
     def test_validation(self, clock):
         with pytest.raises(ValueError):

@@ -14,10 +14,8 @@ from repro.resilience.guard import (
 
 @pytest.fixture(autouse=True)
 def _hermetic_cache(monkeypatch):
-    """Exact counter assertions: a shared ``REPRO_CACHE_DIR`` (or an
-    ambient store backend) could serve the space from disk and skip the
-    guarded builder."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    """Exact counter assertions: an ambient store backend could serve
+    the space from disk and skip the guarded builder."""
     monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
 

@@ -17,10 +17,8 @@ from repro.resilience.faults import FaultPlan, FaultRule, inject
 
 @pytest.fixture(autouse=True)
 def _hermetic_cache(monkeypatch):
-    """Exact counter assertions: a shared ``REPRO_CACHE_DIR`` (or an
-    ambient store backend) could serve artifacts from disk and skip the
-    degradation ladder."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    """Exact counter assertions: an ambient store backend could serve
+    artifacts from disk and skip the degradation ladder."""
     monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_STORE_URL", raising=False)
 

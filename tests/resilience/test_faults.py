@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine.store import _unwrap_payload, _wrap_payload
+from repro.engine.backends.envelope import unwrap_payload, wrap_payload
 from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.faults import (
     CORRUPT,
@@ -102,11 +102,11 @@ class TestDeterminism:
         assert corrupt(7) != blob
 
     def test_corruption_defeats_the_envelope(self):
-        blob = _wrap_payload(b"payload bytes for the integrity check")
+        blob = wrap_payload(b"payload bytes for the integrity check")
         plan = FaultPlan(
             seed=3, rules=(FaultRule("store.load", kind=CORRUPT),)
         )
-        assert _unwrap_payload(plan.corrupt("store.load", blob)) is None
+        assert unwrap_payload(plan.corrupt("store.load", blob)) is None
 
     def test_empty_bytes_still_mutated(self):
         plan = FaultPlan(rules=(FaultRule("store.load", kind=CORRUPT),))

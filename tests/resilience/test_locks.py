@@ -8,9 +8,7 @@ from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.resilience.locks import (
     DEFAULT_LOCK_TTL_MS,
     FileLease,
-    LOCK_DISABLE_ENV_VAR,
     LOCK_TTL_ENV_VAR,
-    leases_enabled,
     lock_ttl_ms,
     sweep_stale_temp_files,
 )
@@ -22,9 +20,8 @@ DEAD_PID = 2**22 - 1
 
 @pytest.fixture(autouse=True)
 def _lease_env(monkeypatch):
-    """Hermetic knobs: leases on, default TTL, regardless of CI env."""
+    """Hermetic knobs: default TTL (leases on), regardless of CI env."""
     monkeypatch.delenv(LOCK_TTL_ENV_VAR, raising=False)
-    monkeypatch.delenv(LOCK_DISABLE_ENV_VAR, raising=False)
 
 
 class TestKnobs:
@@ -40,17 +37,11 @@ class TestKnobs:
         with pytest.raises(ValueError):
             lock_ttl_ms()
 
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "OFF"])
-    def test_disable_values(self, monkeypatch, value):
-        monkeypatch.setenv(LOCK_DISABLE_ENV_VAR, value)
-        assert not leases_enabled()
-
-    def test_non_positive_ttl_disables(self, monkeypatch):
-        monkeypatch.setenv(LOCK_TTL_ENV_VAR, "0")
-        assert not leases_enabled()
-
-    def test_enabled_by_default(self):
-        assert leases_enabled()
+    def test_non_positive_ttl_disables(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(LOCK_TTL_ENV_VAR, "-1")
+        lease = FileLease(tmp_path / "artifact.pkl")
+        assert not lease.acquire()
+        assert not lease.path.exists()
 
 
 class TestAcquireRelease:
@@ -71,7 +62,7 @@ class TestAcquireRelease:
         assert not lease.path.exists()
 
     def test_disabled_leases_never_touch_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(LOCK_DISABLE_ENV_VAR, "off")
+        monkeypatch.setenv(LOCK_TTL_ENV_VAR, "0")
         lease = FileLease(tmp_path / "artifact.pkl")
         assert not lease.acquire()
         assert not lease.path.exists()

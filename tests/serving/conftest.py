@@ -17,7 +17,6 @@ def hermetic_serving_env(monkeypatch):
         "REPRO_SERVER_QUEUE_DEPTH",
         "REPRO_SERVER_DRAIN_MS",
         "REPRO_SERVER_DEADLINE_MS",
-        "REPRO_CACHE_DIR",
         "REPRO_STORE_BACKEND",
         "REPRO_STORE_URL",
         "REPRO_BREAKER_THRESHOLD",
