@@ -30,17 +30,15 @@ Every derivation runs through the resilience layer:
   that the hot loops check cooperatively, raising a typed
   :class:`~repro.errors.DeadlineExceededError` instead of hanging;
 * an *unexpected* (non-:class:`~repro.errors.ReproError`) crash inside
-  a bulk-kernel derivation is retried on the naive kernel -- the
-  degradation ladder bulk -> naive -> typed
-  :class:`~repro.errors.KernelFailureError` carrying every traceback --
-  with each non-final crash counted in the store's per-kind
-  ``degradations`` stat;
+  a bulk-kernel derivation is retried once on the naive kernel and
+  counted in the store's per-kind ``degradations`` stat; a crash the
+  naive kernel cannot rescue is a typed
+  :class:`~repro.errors.KernelFailureError` carrying every traceback;
 * a per-derivation :class:`~repro.resilience.breaker.CircuitBreaker`
-  watches those outcomes: a derivation that keeps producing kernel
-  failures stops being admitted to the ladder and instead fails fast
-  with a typed :class:`~repro.errors.CircuitOpenError` (or, in
-  pin-naive mode, builds directly on the naive rung), until a
-  half-open probe succeeds or :meth:`Engine.reset_breaker` is called;
+  counts those kernel failures: a derivation that keeps producing them
+  fails fast with a typed :class:`~repro.errors.CircuitOpenError`,
+  until a half-open probe succeeds or :meth:`Engine.reset_breaker` is
+  called;
 * :meth:`Session.update` wraps whatever still escapes in
   :class:`~repro.errors.UnexpectedFailureError`, so callers always see
   either a structured outcome or a :class:`~repro.errors.ReproError`.
@@ -78,7 +76,7 @@ from repro.errors import (
     UpdateRejected,
 )
 from repro.kernel.config import BULK, NAIVE, kernel_mode, use_kernel
-from repro.resilience.breaker import PINNED, CircuitBreaker
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.guard import (
     ExecutionGuard,
     current_guard,
@@ -100,24 +98,6 @@ __all__ = [
     "default_engine",
     "set_default_engine",
 ]
-
-#: The degradation ladder, fastest rung first.  A derivation starts on
-#: the active kernel mode's rung and falls through the rest.
-_LADDER: Tuple[str, ...] = (BULK, NAIVE)
-
-
-def _ladder_failure_message(kind: str, rungs: Tuple[str, ...]) -> str:
-    """The KernelFailureError message for an exhausted ladder."""
-    if rungs == (NAIVE,):
-        return (
-            f"naive-kernel derivation of {kind!r} failed unexpectedly "
-            "(no degradation rung below the naive kernel)"
-        )
-    return (
-        f"derivation of {kind!r} failed under the bulk kernel "
-        "and again under the naive kernel"
-    )
-
 
 @dataclass(frozen=True)
 class UpdateOutcome:
@@ -165,30 +145,26 @@ class Engine:
     def __init__(
         self,
         store: Optional[ArtifactStore] = None,
-        max_entries: int = 256,
-        cache_dir: Optional[str] = None,
         backend: Optional[ArtifactBackend] = None,
         deadline_ms: Optional[float] = None,
         max_steps: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
-        breaker_threshold: Optional[int] = None,
-        breaker_cooldown_ms: Optional[float] = None,
-        breaker_mode: Optional[str] = None,
     ) -> None:
-        self.store = store or ArtifactStore(
-            max_entries=max_entries, cache_dir=cache_dir, backend=backend
+        #: The artifact store: the given one (an empty store is falsy,
+        #: so test for ``None``), else a default-sized store on
+        #: *backend* or the ``REPRO_STORE_*`` selection.
+        self.store = (
+            store if store is not None else ArtifactStore(backend=backend)
         )
         #: Per-derivation wall-clock deadline (``None`` falls back to
         #: ``REPRO_DEADLINE_MS``; unset there means no deadline).
         self.deadline_ms = deadline_ms
         #: Per-derivation cooperative step budget (``None`` = none).
         self.max_steps = max_steps
-        #: The derivation circuit breaker; explicit knobs win, then the
-        #: ``REPRO_BREAKER_*`` environment variables, then defaults.
-        self.breaker = breaker or CircuitBreaker.from_env(
-            threshold=breaker_threshold,
-            cooldown_ms=breaker_cooldown_ms,
-            mode=breaker_mode,
+        #: The derivation circuit breaker: the given one, else one from
+        #: the ``REPRO_BREAKER_*`` environment variables or defaults.
+        self.breaker = (
+            breaker if breaker is not None else CircuitBreaker.from_env()
         )
 
     # -- resilience --------------------------------------------------------------
@@ -217,97 +193,60 @@ class Engine:
     def _resilient(
         self, kind: str, fingerprint: str, builder: Callable[[], object]
     ) -> Callable[[], object]:
-        """Wrap *builder* in the breaker gate, guard scope, and ladder.
+        """Wrap *builder* in the breaker gate, guard scope and fallback.
 
-        The circuit breaker is consulted first: an open circuit either
-        raises :class:`~repro.errors.CircuitOpenError` immediately
-        (fail-fast mode) or routes the build to the pinned naive rung
-        (pin-naive mode), skipping the ladder entirely.
-
-        Admitted builds run the ladder from the active kernel mode down:
-        bulk -> naive.  Typed :class:`ReproError`\\ s pass straight
-        through (they are already fail-closed).  An *unexpected*
-        exception on the bulk rung triggers one retry on the naive rung
-        (the kernels are semantically equivalent, so the degraded
-        artifact is valid under the original key) and is counted in the
-        store's ``degradations`` stat; when the naive rung also crashes
-        -- or the naive kernel crashed with no rung left below it -- a
-        :class:`KernelFailureError` carries every traceback out.  The
-        breaker hears about every outcome: clean success, degraded
-        success, or kernel failure.
+        An open circuit raises :class:`~repro.errors.CircuitOpenError`
+        before *builder* runs.  Typed :class:`ReproError`\\ s pass
+        straight through (they are already fail-closed), deadline trips
+        counted.  An *unexpected* exception under the bulk kernel is
+        counted in the store's ``degradations`` stat and retried once
+        on the naive kernel: the kernels are semantically equivalent,
+        so the rescued artifact is valid under the original key.  A
+        crash the naive kernel does not rescue -- the retry's, or the
+        first one under the naive kernel -- is a
+        :class:`KernelFailureError` carrying every traceback and
+        counts toward the breaker; any served build closes it.
         """
 
         def build() -> object:
-            verdict = self.breaker.admit(kind, fingerprint)
-            if verdict == PINNED:
-                return self._build_pinned(kind, fingerprint, builder)
-            start = kernel_mode()
-            rungs = _LADDER[_LADDER.index(start):]
-            tracebacks: Dict[str, str] = {}
+            self.breaker.admit(kind, fingerprint)
+            bulk_traceback = ""
             with self._guard_scope():
-                for position, rung in enumerate(rungs):
+                try:
                     try:
-                        if position == 0:
-                            value = builder()
-                        else:
-                            with use_kernel(rung):
-                                value = builder()
-                    except DeadlineExceededError:
-                        self.store.record_deadline_hit(kind)
-                        raise
+                        value = builder()
                     except ReproError:
                         raise
                     except Exception:
-                        tracebacks[rung] = traceback.format_exc()
-                        if position == len(rungs) - 1:
-                            self.breaker.record_failure(kind, fingerprint)
-                            raise KernelFailureError(
-                                _ladder_failure_message(kind, rungs),
-                                kind=kind,
-                                bulk_traceback=tracebacks.get(BULK, ""),
-                                naive_traceback=tracebacks.get(NAIVE, ""),
-                            ) from None
+                        if kernel_mode() != BULK:
+                            raise
+                        bulk_traceback = traceback.format_exc()
                         self.store.record_degradation(kind)
-                        continue
-                    if position == 0:
-                        self.breaker.record_success(kind, fingerprint)
-                    else:
-                        self.breaker.record_degraded(kind, fingerprint)
-                    return value
-                raise ReproError("unreachable: empty kernel ladder")
+                    if bulk_traceback:
+                        with use_kernel(NAIVE):
+                            value = builder()
+                except DeadlineExceededError:
+                    self.store.record_deadline_hit(kind)
+                    raise
+                except ReproError:
+                    raise
+                except Exception:
+                    self.breaker.record_failure(kind, fingerprint)
+                    raise KernelFailureError(
+                        f"derivation of {kind!r} failed under the bulk "
+                        "kernel and again under the naive kernel"
+                        if bulk_traceback
+                        else f"naive-kernel derivation of {kind!r} failed "
+                        "unexpectedly (no degradation rung below the "
+                        "naive kernel)",
+                        kind=kind,
+                        bulk_traceback=bulk_traceback,
+                        naive_traceback=traceback.format_exc(),
+                    ) from None
+            self.breaker.record_success(kind, fingerprint)
+            return value
 
         return build
-
-    def _build_pinned(
-        self, kind: str, fingerprint: str, builder: Callable[[], object]
-    ) -> object:
-        """Build directly on the naive rung (open circuit, pin-naive).
-
-        The doomed bulk attempt is skipped, so the request is served
-        degraded without re-paying the crash; counted under the store's
-        ``degradations`` stat like any other naive-served build.  A
-        pinned success does *not* close the circuit -- only a half-open
-        probe that survives the full ladder does.
-        """
-        self.store.record_degradation(kind)
-        with self._guard_scope():
-            try:
-                with use_kernel(NAIVE):
-                    return builder()
-            except DeadlineExceededError:
-                self.store.record_deadline_hit(kind)
-                raise
-            except ReproError:
-                raise
-            except Exception:
-                self.breaker.record_failure(kind, fingerprint)
-                raise KernelFailureError(
-                    f"pinned naive-kernel derivation of {kind!r} failed "
-                    "unexpectedly (circuit open; no rung below the naive "
-                    "kernel)",
-                    kind=kind,
-                    naive_traceback=traceback.format_exc(),
-                ) from None
 
     # -- keys --------------------------------------------------------------------
 
@@ -471,7 +410,15 @@ class Engine:
 
     def invalidate_space(self, space: StateSpace) -> int:
         """Drop the space's canonical artifact and everything derived
-        from it; returns the number of artifacts dropped."""
+        from it, in memory and in the backend; returns the number of
+        artifacts dropped.
+
+        The request-level aliases that :meth:`space` and
+        :meth:`space_from` memoize under are not derived from the
+        canonical key, so they survive with their persisted entries:
+        the next equal request returns the same space object, and its
+        dependents are rebuilt.
+        """
         return self.store.invalidate(self._space_key(space))
 
     # -- sessions ----------------------------------------------------------------
@@ -507,14 +454,12 @@ class Engine:
 
         :meth:`stats` deep-copies every artifact counter -- right for an
         operator dashboard, wrong for a health probe hit on every poll.
-        This reports only the scalars the serving tier needs: the
-        breaker mode, how many circuits are open, and the soonest
-        retry hint.  Cost is O(tracked circuits), independent of how
+        This reports only the scalars the serving tier needs: how many
+        circuits are open and the soonest retry hint.  Cost is O(tracked circuits), independent of how
         many artifacts the store holds.
         """
         snapshot = self.breaker.snapshot()
         return {
-            "breaker_mode": self.breaker.mode,
             "open_circuits": snapshot["open"],
             "retry_hint_ms": self.breaker.retry_hint_ms(),
         }
@@ -526,7 +471,7 @@ class Engine:
 
         ``reset_breaker()`` forgets every tracked derivation;
         narrowing by *kind* (and optionally *fingerprint*) clears just
-        those.  The next request runs the full ladder again.
+        those.  The next request runs the full build again.
         """
         return self.breaker.reset(kind, fingerprint)
 
@@ -647,7 +592,7 @@ class Session:
         or call :meth:`UpdateOutcome.require` for the legacy behaviour.
         Configuration errors (unknown view, no complement) still raise
         -- always as :class:`ReproError` subclasses: anything
-        unexpected that escapes the engine's degradation ladder is
+        unexpected that escapes the engine's kernel fallback is
         wrapped in :class:`UnexpectedFailureError` (fail closed, never
         a bare ``KeyError``/``AttributeError``).
         """

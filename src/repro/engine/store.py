@@ -397,12 +397,6 @@ class ArtifactStore:
             self._insert(key, _Entry(value, tuple(dependencies)))
             return value
 
-    def peek(self, key: ArtifactKey) -> Optional[object]:
-        """The cached value, without counting a hit or touching the LRU."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else entry.value
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -485,10 +479,6 @@ class ArtifactStore:
                 },
             }
             return snapshot
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats.clear()
 
     def record_degradation(self, kind: str) -> None:
         """Count one bulk -> naive degradation for *kind*."""

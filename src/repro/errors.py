@@ -191,11 +191,10 @@ class DeadlineExceededError(ResilienceError):
 class KernelFailureError(ResilienceError):
     """A kernel derivation crashed with an unexpected exception.
 
-    The engine's degradation ladder (bulk -> naive -> typed failure)
-    raises this only after the naive rung below the bulk kernel also
-    failed -- or when the naive kernel, with no rung left below it,
-    crashed directly.  Every traceback is carried so the underlying
-    defect is not lost.
+    The engine retries a bulk-kernel crash once on the naive kernel and
+    raises this only when that retry also failed -- or when a build
+    under the naive kernel, with nothing below it, crashed directly.
+    Every traceback is carried so the underlying defect is not lost.
     """
 
     def __init__(
@@ -221,7 +220,7 @@ class CircuitOpenError(ResilienceError):
     After ``threshold`` consecutive :class:`KernelFailureError`\\ s for
     one ``(kind, fingerprint)`` derivation, the engine's
     :class:`~repro.resilience.breaker.CircuitBreaker` stops re-running
-    the degradation ladder and raises this instead -- a deterministic
+    the build and raises this instead -- a deterministic
     crash re-crashing on every request would otherwise burn a full
     bulk + naive build per caller.  The breaker re-probes after a
     cooldown (half-open), and :meth:`Engine.reset_breaker` clears it
@@ -308,7 +307,7 @@ class UnexpectedFailureError(ResilienceError):
     """An update-servicing step crashed outside any typed failure path.
 
     The last line of defence in :meth:`Session.update`: whatever slipped
-    through the degradation ladder and the store's hardening is wrapped
+    through the kernel fallback and the store's hardening is wrapped
     here (with the original exception chained) so callers still see a
     :class:`ReproError` subclass.
     """

@@ -24,14 +24,10 @@ artifact persistence backend (the ``REPRO_STORE_BACKEND`` /
 re-running with a warm store turns every enumeration into a backend
 hit, visible in ``--stats``.
 
-``--serve`` hands the invocation to the serving tier (``python -m
-repro.serving``): an async HTTP update server with admission control
-and graceful SIGTERM drain, forwarding ``--host/--port/--max-inflight/
---queue-depth/--drain-ms/--deadline-ms/--store/--warm-url``.
-``--load-gen --port=N`` drives a running server with the threaded load
-generator (``--clients``, ``--duration`` seconds, optional
-``--deadline`` ms per request) and prints the JSON
-:class:`~repro.serving.client.LoadReport`.
+``--load-gen --port=N`` drives a running update server (``python -m
+repro.serving``) with the threaded load generator (``--clients``,
+``--duration`` seconds, optional ``--deadline`` ms per request) and
+prints the JSON :class:`~repro.serving.client.LoadReport`.
 """
 
 from __future__ import annotations
@@ -112,8 +108,7 @@ def _stats_report(engine: Engine) -> str:
     breaker = snapshot["breaker"]
     if breaker["entries"]:
         lines.append(
-            f"circuit breaker ({breaker['mode']}, "
-            f"threshold {breaker['threshold']}): "
+            f"circuit breaker (threshold {breaker['threshold']}): "
             f"{breaker['open']} open circuit(s)"
         )
         for label, entry in breaker["entries"].items():
@@ -140,27 +135,6 @@ def _deadline_ms(argv: list[str]) -> float | None:
 def _workers(argv: list[str]) -> int:
     raw = _flag_value(argv, "workers")
     return 1 if raw is None else max(1, int(raw))
-
-
-def _serve(argv: list[str]) -> int:
-    """Delegate to ``python -m repro.serving`` with forwarded flags."""
-    from repro.serving.__main__ import main as serve_main
-
-    passthrough = []
-    for name in (
-        "host",
-        "port",
-        "max-inflight",
-        "queue-depth",
-        "drain-ms",
-        "deadline-ms",
-        "store",
-        "warm-url",
-    ):
-        value = _flag_value(argv, name)
-        if value is not None:
-            passthrough.append(f"--{name}={value}")
-    return serve_main(passthrough)
 
 
 def _load_gen(argv: list[str]) -> int:
@@ -200,8 +174,6 @@ def _run_one(experiment_id: str, engine: Engine):
 
 def main(argv: list[str]) -> int:
     """Run the requested experiments (all by default)."""
-    if "--serve" in argv:
-        return _serve(argv)
     if "--load-gen" in argv:
         return _load_gen(argv)
     markdown = "--markdown" in argv

@@ -2,14 +2,14 @@
 
 The bulk kernel is a pure optimisation -- both modes compute the same
 state spaces, posets, tables, and algebras, and the equivalence suite
-enforces that.  Two rungs exist:
+enforces that.  Two modes exist:
 
 * ``bulk`` (the default) -- instances encoded as bitmasks
   (:mod:`repro.kernel.bitspace`) and word-packed bulk bitwise passes
   (:mod:`repro.kernel.bulkops`): whole-table sweeps of ``&``/``|``/
   ``^``/``bit_count`` over wide Python ints;
 * ``naive`` -- the original tuple-by-tuple code, kept as the reference
-  implementation and the bottom rung of the degradation ladder.
+  implementation and the engine's fallback after a bulk-kernel crash.
 
 Selection::
 

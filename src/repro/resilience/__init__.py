@@ -19,12 +19,12 @@ makes that guarantee operational for the machinery around the theory:
   sweep of dead writers' temp files;
 * :mod:`repro.resilience.breaker` -- a per-derivation circuit breaker
   (:class:`CircuitBreaker`) that converts deterministic kernel crashes
-  into fast typed :class:`~repro.errors.CircuitOpenError`\\ s (or pins
-  the derivation to the naive kernel) instead of re-running the
-  degradation ladder per request; the remote artifact backend runs its
-  transport circuit on the same class.
+  into fast typed :class:`~repro.errors.CircuitOpenError`\\ s instead
+  of re-running the bulk -> naive fallback per request; the remote
+  artifact backend runs its transport circuit on the same class.
 
-The degradation ladder (bulk kernel -> naive kernel -> typed
+The fallback (a bulk-kernel crash is retried once on the naive
+kernel, and a crash there is a typed
 :class:`~repro.errors.KernelFailureError`) and the checksummed cache
 envelope live in :mod:`repro.engine`, which consumes this package.
 """
@@ -60,16 +60,12 @@ from repro.resilience.locks import (
 )
 from repro.resilience.breaker import (
     BREAKER_COOLDOWN_ENV_VAR,
-    BREAKER_MODE_ENV_VAR,
     BREAKER_THRESHOLD_ENV_VAR,
     CircuitBreaker,
-    FAIL_FAST,
-    PIN_NAIVE,
 )
 
 __all__ = [
     "BREAKER_COOLDOWN_ENV_VAR",
-    "BREAKER_MODE_ENV_VAR",
     "BREAKER_THRESHOLD_ENV_VAR",
     "CORRUPT",
     "CircuitBreaker",
@@ -77,7 +73,6 @@ __all__ = [
     "DEFAULT_LOCK_TTL_MS",
     "DELAY",
     "ExecutionGuard",
-    "FAIL_FAST",
     "FAULT_POINTS",
     "FAULT_SEED_ENV_VAR",
     "FaultPlan",
@@ -85,7 +80,6 @@ __all__ = [
     "FileLease",
     "InjectedFault",
     "LOCK_TTL_ENV_VAR",
-    "PIN_NAIVE",
     "RAISE",
     "current_guard",
     "current_plan",

@@ -1,28 +1,23 @@
 """A circuit breaker for deterministically failing derivations.
 
-The engine's degradation ladder (bulk -> naive -> typed
+The engine's fallback (a bulk-kernel crash is retried once on the
+naive kernel, and a crash there is a typed
 :class:`~repro.errors.KernelFailureError`) is the right response to a
 *transient* kernel crash; against a *deterministic* one it re-runs two
 doomed builds on every request.  A :class:`CircuitBreaker` remembers,
 per ``(kind, fingerprint)``, how many consecutive kernel failures a
-derivation has produced, and once the threshold is crossed it stops
-admitting ladder runs:
-
-* in **fail-fast** mode (the default) further requests raise a typed
-  :class:`~repro.errors.CircuitOpenError` immediately -- callers get
-  the fail-closed verdict in microseconds instead of after a full
-  bulk + naive build;
-* in **pin-naive** mode further requests are *pinned* to the naive
-  kernel: the engine builds directly on the naive rung, skipping the
-  bulk attempt that keeps crashing.  In this mode successful-but-
-  degraded builds (bulk crashed, naive succeeded) also count toward
-  the threshold, since each one re-pays the doomed bulk attempt.
+derivation has produced, and once the threshold is crossed further
+requests raise a typed :class:`~repro.errors.CircuitOpenError`
+immediately -- callers get the fail-closed verdict in microseconds
+instead of after a full bulk + naive build.  A build the naive retry
+rescues is a success: it was served, and the store caches it under
+its original key, so the crash is not paid again.
 
 The breaker follows the classical state machine::
 
     CLOSED --- threshold consecutive failures ---> OPEN
     OPEN   --- cooldown elapsed -----------------> HALF-OPEN
-    HALF-OPEN: exactly one probe runs the full ladder;
+    HALF-OPEN: exactly one probe runs the full build;
                success -> CLOSED, failure -> OPEN (fresh cooldown)
 
 The same state machine guards the remote artifact backend's transport
@@ -50,32 +45,22 @@ from repro.errors import CircuitOpenError
 __all__ = [
     "ALLOW",
     "BREAKER_COOLDOWN_ENV_VAR",
-    "BREAKER_MODE_ENV_VAR",
     "BREAKER_THRESHOLD_ENV_VAR",
     "CLOSED",
     "CircuitBreaker",
     "DEFAULT_COOLDOWN_MS",
     "DEFAULT_THRESHOLD",
-    "FAIL_FAST",
     "HALF_OPEN",
     "OPEN",
-    "PIN_NAIVE",
-    "PINNED",
     "PROBE",
 ]
 
-#: Environment overrides for engines built without explicit knobs.
+#: Environment settings for engines built without an explicit breaker.
 BREAKER_THRESHOLD_ENV_VAR = "REPRO_BREAKER_THRESHOLD"
 BREAKER_COOLDOWN_ENV_VAR = "REPRO_BREAKER_COOLDOWN_MS"
-BREAKER_MODE_ENV_VAR = "REPRO_BREAKER_MODE"
 
 DEFAULT_THRESHOLD = 3
 DEFAULT_COOLDOWN_MS = 30_000.0
-
-#: Breaker modes.
-FAIL_FAST = "fail-fast"
-PIN_NAIVE = "pin-naive"
-_MODES = (FAIL_FAST, PIN_NAIVE)
 
 #: Circuit states (as reported by :meth:`CircuitBreaker.snapshot`).
 CLOSED = "closed"
@@ -83,9 +68,8 @@ OPEN = "open"
 HALF_OPEN = "half-open"
 
 #: Admission verdicts returned by :meth:`CircuitBreaker.admit`.
-ALLOW = "allow"  # closed circuit: run the normal ladder
+ALLOW = "allow"  # closed circuit: run the normal build
 PROBE = "probe"  # half-open: this caller is the single probe
-PINNED = "pinned"  # open, pin-naive mode: build on the naive rung only
 
 
 @dataclass
@@ -106,7 +90,6 @@ class CircuitBreaker:
         self,
         threshold: int = DEFAULT_THRESHOLD,
         cooldown_ms: float = DEFAULT_COOLDOWN_MS,
-        mode: str = FAIL_FAST,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if threshold < 1:
@@ -115,64 +98,43 @@ class CircuitBreaker:
         if cooldown_ms < 0:
             # reprolint: disable=RL001 -- constructor validation of breaker knobs; asserted by tests/resilience/test_breaker.py
             raise ValueError("cooldown_ms must be non-negative")
-        if mode not in _MODES:
-            # reprolint: disable=RL001 -- constructor validation of breaker knobs; asserted by tests/resilience/test_breaker.py
-            raise ValueError(
-                f"unknown breaker mode {mode!r}; expected one of {_MODES}"
-            )
         self.threshold = threshold
         self.cooldown_ms = cooldown_ms
-        self.mode = mode
         self._clock = clock
         self._lock = threading.RLock()
         self._states: Dict[Tuple[str, str], _DerivationState] = {}
         self._trips = 0
 
     @classmethod
-    def from_env(
-        cls,
-        threshold: Optional[int] = None,
-        cooldown_ms: Optional[float] = None,
-        mode: Optional[str] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> "CircuitBreaker":
-        """A breaker from explicit knobs, falling back to environment.
+    def from_env(cls) -> "CircuitBreaker":
+        """A breaker from the ``REPRO_BREAKER_*`` environment variables,
+        falling back to the defaults.
 
-        Malformed environment values raise eagerly (a typo'd threshold
-        must not silently mean "default threshold").
+        Malformed values raise eagerly (a typo'd threshold must not
+        silently mean "default threshold").
         """
-        if threshold is None:
-            raw = os.environ.get(BREAKER_THRESHOLD_ENV_VAR)
-            threshold = (
-                DEFAULT_THRESHOLD
-                if raw is None or not raw.strip()
-                else int(raw)
-            )
-        if cooldown_ms is None:
-            raw = os.environ.get(BREAKER_COOLDOWN_ENV_VAR)
-            cooldown_ms = (
-                DEFAULT_COOLDOWN_MS
-                if raw is None or not raw.strip()
-                else float(raw)
-            )
-        if mode is None:
-            raw = os.environ.get(BREAKER_MODE_ENV_VAR)
-            mode = FAIL_FAST if raw is None or not raw.strip() else raw.strip()
-        return cls(
-            threshold=threshold, cooldown_ms=cooldown_ms, mode=mode,
-            clock=clock,
+        raw = os.environ.get(BREAKER_THRESHOLD_ENV_VAR)
+        threshold = (
+            DEFAULT_THRESHOLD if raw is None or not raw.strip() else int(raw)
         )
+        raw = os.environ.get(BREAKER_COOLDOWN_ENV_VAR)
+        cooldown_ms = (
+            DEFAULT_COOLDOWN_MS
+            if raw is None or not raw.strip()
+            else float(raw)
+        )
+        return cls(threshold=threshold, cooldown_ms=cooldown_ms)
 
     # -- admission ------------------------------------------------------------
 
     def admit(self, kind: str, fingerprint: str) -> str:
         """Gate one derivation attempt.
 
-        Returns :data:`ALLOW` (closed circuit -- run the ladder),
+        Returns :data:`ALLOW` (closed circuit -- run the build) or
         :data:`PROBE` (half-open -- this caller is the single probe, and
-        must report back via ``record_success``/``record_failure``), or
-        :data:`PINNED` (open in pin-naive mode -- build naive-only).
-        Raises :class:`CircuitOpenError` when open in fail-fast mode.
+        must report back via ``record_success``/``record_failure``).
+        Raises :class:`CircuitOpenError` when open, or half-open with
+        the probe already in flight.
         """
         with self._lock:
             state = self._states.get((kind, fingerprint))
@@ -189,8 +151,6 @@ class CircuitBreaker:
                 state.probing = True
                 return PROBE
             # Open, or half-open with the probe already in flight.
-            if self.mode == PIN_NAIVE:
-                return PINNED
             remaining = max(
                 0.0, self.cooldown_ms - (now - state.opened_at) * 1e3
             )
@@ -209,28 +169,13 @@ class CircuitBreaker:
     # -- outcome reporting ----------------------------------------------------
 
     def record_success(self, kind: str, fingerprint: str) -> None:
-        """A clean build: close the circuit and forget the derivation."""
+        """A success -- for a derivation, a served build, even one the
+        naive retry rescued: close the circuit and forget it."""
         with self._lock:
             self._states.pop((kind, fingerprint), None)
 
-    def record_degraded(self, kind: str, fingerprint: str) -> None:
-        """A degraded build: bulk crashed, the naive retry succeeded.
-
-        The request was served, so in fail-fast mode this is a success
-        (there is nothing to fail fast *to*).  In pin-naive mode it is
-        the very signal the breaker exists for: each degraded build
-        re-pays a doomed bulk attempt that pinning would skip.
-        """
-        if self.mode == PIN_NAIVE:
-            self._record_failure(kind, fingerprint)
-        else:
-            self.record_success(kind, fingerprint)
-
     def record_failure(self, kind: str, fingerprint: str) -> None:
         """A :class:`KernelFailureError`: count it, maybe open."""
-        self._record_failure(kind, fingerprint)
-
-    def _record_failure(self, kind: str, fingerprint: str) -> None:
         with self._lock:
             state = self._states.setdefault(
                 (kind, fingerprint), _DerivationState()
@@ -244,8 +189,9 @@ class CircuitBreaker:
                 if state.failures >= self.threshold:
                     self._open(state)
             else:
-                # Already open (a pinned build failed): restart the
-                # cooldown so probes back off while it keeps crashing.
+                # Already open (a call admitted before it opened has
+                # failed): restart the cooldown so probes back off
+                # while it keeps failing.
                 state.opened_at = self._clock()
 
     def trip(self, kind: str, fingerprint: str) -> None:
@@ -347,7 +293,6 @@ class CircuitBreaker:
                     "trips": state.trips,
                 }
             return {
-                "mode": self.mode,
                 "threshold": self.threshold,
                 "cooldown_ms": self.cooldown_ms,
                 "open": sum(

@@ -2,7 +2,7 @@
 
 The serving tier's overload contract lives here.  An
 :class:`AdmissionController` sits in front of the worker pool and
-decides, for every request, one of three fates *before* any expensive
+decides, for every request, one of two fates *before* any expensive
 work happens:
 
 * **admit** -- a ticket enters one of three bounded priority queues
@@ -12,12 +12,10 @@ work happens:
   a typed :class:`~repro.errors.ServerOverloadedError` /
   :class:`~repro.errors.ServerDrainingError` carries a ``Retry-After``
   hint derived from the observed service-time EWMA, so the refusal is
-  cheap for the server and actionable for the client;
-* **degrade** -- the engine's circuit breaker reports open circuits:
-  in *fail-fast* mode the request is shed immediately (queueing it
-  would only delay the same typed failure); in *pin-naive* mode it is
-  admitted normally, because the engine will serve it degraded on the
-  naive kernel rather than fail it.
+  cheap for the server and actionable for the client.  A request is
+  also shed while the engine's circuit breaker has an open circuit
+  still cooling down (queueing it would only delay the same typed
+  failure), with the breaker's own retry hint.
 
 Concurrency is bounded by a token bucket of ``max_inflight`` tokens
 (:data:`~repro.serving.config.SERVER_MAX_INFLIGHT_ENV_VAR`): the server
@@ -48,7 +46,7 @@ from repro.errors import (
     ServerDrainingError,
     ServerOverloadedError,
 )
-from repro.resilience.breaker import CircuitBreaker, FAIL_FAST
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_check
 from repro.serving.config import server_max_inflight, server_queue_depth
 from repro.serving.protocol import PRIORITIES, UpdateRequest
@@ -162,15 +160,14 @@ class AdmissionController:
         self._wakeup.set()
 
     def _breaker_gate(self, ticket: Ticket) -> None:
-        """Shed (fail-fast) or pass through (pin-naive) on open circuits.
+        """Shed while a circuit is open and cooling down.
 
         An open circuit means the artifacts behind this session keep
         failing deterministically: queueing more requests behind them
-        only delays the same typed verdict.  In pin-naive mode the
-        engine serves the work degraded, so admission lets it through.
+        only delays the same typed verdict.
         """
         breaker = self._breaker
-        if breaker is None or breaker.mode != FAIL_FAST:
+        if breaker is None:
             return
         retry_ms = breaker.retry_hint_ms()
         if retry_ms is None:

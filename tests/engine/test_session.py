@@ -3,7 +3,10 @@
 import pytest
 
 from repro.engine.engine import Engine, current_engine, default_engine
+from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import ReproError, UpdateRejected
+from repro.kernel.config import kernel_mode
+from repro.resilience.faults import inject
 from repro.typealgebra.algebra import NULL
 from repro.decomposition.projections import projection_view
 
@@ -76,6 +79,65 @@ class TestArtifactSharing:
         with engine.activate():
             assert current_engine() is engine
         assert current_engine() is default_engine()
+
+
+class TestGivenStore:
+    """Exact counters below: the ambient fault plan is suspended."""
+
+    def test_engine_keeps_the_given_store(self, tmp_path, two_unary):
+        store = ArtifactStore(cache_dir=str(tmp_path))
+        engine = Engine(store=store)
+        assert engine.store is store  # empty, hence falsy, yet kept
+        with inject(None):
+            engine.space(two_unary.schema, two_unary.assignment)
+            second = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+            second.space(two_unary.schema, two_unary.assignment)
+        artifacts = second.stats()["artifacts"]
+        assert artifacts["backend"]["kinds"]["space"]["disk_hits"] == 1
+        assert artifacts["memory"]["space"]["builds"] == 0
+
+    def test_invalidate_space_keeps_the_request_alias(
+        self, tmp_path, small_chain
+    ):
+        """The canonical space, the algebra and the procedure go, from
+        memory and from disk; the ``space_from`` request alias is not
+        derived from the space, so it survives with its file."""
+
+        def kinds_on_disk():
+            return sorted(
+                path.name.split("-")[0] for path in tmp_path.glob("*.pkl")
+            )
+
+        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        with inject(None):
+            space = engine.space_from(small_chain)
+            session = engine.session(
+                small_chain.schema, small_chain.assignment, space
+            )
+            session.register_view(
+                projection_view(small_chain, ("A", "B", "D"))
+            )
+            session.build_component_algebra(
+                small_chain.all_component_views()
+            )
+            session.procedure_for("Γ_ABD")
+            assert len(engine.store) == 4
+            assert kinds_on_disk() == ["algebra", "procedure", "space"]
+
+            assert engine.invalidate_space(space) == 3
+            assert len(engine.store) == 1
+            canonical = ArtifactKey(
+                "space", space.fingerprint(), kernel_mode()
+            )
+            assert canonical not in engine.store
+            assert kinds_on_disk() == ["space"]
+            assert engine.space_from(small_chain) is space
+            session.build_component_algebra(
+                small_chain.all_component_views()
+            )
+        memory = engine.stats()["artifacts"]["memory"]
+        assert memory["space"]["builds"] == 1
+        assert memory["algebra"]["builds"] == 2
 
 
 class TestSessionRegistration:

@@ -9,11 +9,8 @@ from repro.resilience.breaker import (
     ALLOW,
     CLOSED,
     CircuitBreaker,
-    FAIL_FAST,
     HALF_OPEN,
     OPEN,
-    PIN_NAIVE,
-    PINNED,
     PROBE,
 )
 from repro.resilience.faults import FaultPlan, FaultRule, inject
@@ -28,7 +25,6 @@ def _hermetic_engine_env(monkeypatch):
         "REPRO_STORE_URL",
         "REPRO_BREAKER_THRESHOLD",
         "REPRO_BREAKER_COOLDOWN_MS",
-        "REPRO_BREAKER_MODE",
     ):
         monkeypatch.delenv(var, raising=False)
 
@@ -114,19 +110,6 @@ class TestStateMachine:
         clock.advance_ms(150)  # cooldown restarted at the probe failure
         assert breaker.admit("space", "fp") == PROBE
 
-    def test_pin_naive_serves_instead_of_raising(self, clock):
-        breaker = CircuitBreaker(threshold=1, mode=PIN_NAIVE, clock=clock)
-        breaker.record_failure("space", "fp")
-        assert breaker.admit("space", "fp") == PINNED
-
-    def test_degraded_counts_only_in_pin_naive(self, clock):
-        fail_fast = CircuitBreaker(threshold=1, mode=FAIL_FAST, clock=clock)
-        fail_fast.record_degraded("space", "fp")
-        assert fail_fast.admit("space", "fp") == ALLOW
-        pinning = CircuitBreaker(threshold=1, mode=PIN_NAIVE, clock=clock)
-        pinning.record_degraded("space", "fp")
-        assert pinning.admit("space", "fp") == PINNED
-
     def test_reset_scopes(self, clock):
         breaker = CircuitBreaker(threshold=1, clock=clock)
         for key in ("a", "b"):
@@ -141,7 +124,6 @@ class TestStateMachine:
         breaker = CircuitBreaker(threshold=2, cooldown_ms=100, clock=clock)
         breaker.record_failure("space", "f" * 40)
         snap = breaker.snapshot()
-        assert snap["mode"] == FAIL_FAST
         assert snap["open"] == 0
         (entry,) = snap["entries"].values()
         assert entry["state"] == CLOSED
@@ -177,8 +159,6 @@ class TestStateMachine:
             CircuitBreaker(threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(cooldown_ms=-1)
-        with pytest.raises(ValueError):
-            CircuitBreaker(mode="explode")
 
 
 class TestEnvKnobs:
@@ -186,26 +166,18 @@ class TestEnvKnobs:
         for var in (
             "REPRO_BREAKER_THRESHOLD",
             "REPRO_BREAKER_COOLDOWN_MS",
-            "REPRO_BREAKER_MODE",
         ):
             monkeypatch.delenv(var, raising=False)
         breaker = CircuitBreaker.from_env()
         assert breaker.threshold == 3
         assert breaker.cooldown_ms == 30_000.0
-        assert breaker.mode == FAIL_FAST
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "5")
         monkeypatch.setenv("REPRO_BREAKER_COOLDOWN_MS", "1000")
-        monkeypatch.setenv("REPRO_BREAKER_MODE", PIN_NAIVE)
         breaker = CircuitBreaker.from_env()
         assert breaker.threshold == 5
         assert breaker.cooldown_ms == 1000.0
-        assert breaker.mode == PIN_NAIVE
-
-    def test_explicit_knobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "5")
-        assert CircuitBreaker.from_env(threshold=7).threshold == 7
 
     def test_malformed_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "several")
@@ -214,7 +186,8 @@ class TestEnvKnobs:
 
 
 def _bulk_only_plan():
-    """Only the bulk rung crashes: every ladder run degrades."""
+    """Only the bulk kernel crashes: every build is rescued by the
+    naive retry."""
     return FaultPlan(
         rules=(FaultRule("kernel.analysis", kernel=BULK),)
     )
@@ -223,10 +196,10 @@ def _bulk_only_plan():
 class FlakyAnalyze:
     """A stand-in for the engine's ``analyze_view`` builder target.
 
-    While :attr:`crashing` it fails on *both* ladder rungs (the crash
+    While :attr:`crashing` it fails under *both* kernels (the crash
     is kernel-independent, like a real deterministic bug); flip it off
     and the real analysis runs.  :attr:`calls` counts builder entries,
-    which is how the tests prove fail-fast skips the ladder entirely.
+    which is how the tests prove an open circuit skips the build.
     """
 
     def __init__(self, real):
@@ -260,15 +233,17 @@ class TestEngineIntegration:
     def test_trips_then_fails_fast_without_ladder(
         self, small_chain, small_space, flaky_analyze
     ):
-        """After K kernel failures the ladder stops running: the
+        """After K kernel failures the build stops running: the
         request dies in the breaker before the builder is invoked."""
         from repro.decomposition.projections import projection_view
 
-        engine = Engine(breaker_threshold=2, breaker_cooldown_ms=60_000)
+        engine = Engine(
+            breaker=CircuitBreaker(threshold=2, cooldown_ms=60_000)
+        )
         view = projection_view(small_chain, ("A", "B", "D"))
         for _ in range(2):
             self._fail_once(engine, view, small_space)
-        # Each ladder run pays both rungs: bulk attempt + naive retry.
+        # Each failed build pays both kernels: bulk attempt + naive retry.
         assert flaky_analyze.calls == 4
         with use_kernel(BULK):
             with pytest.raises(CircuitOpenError):
@@ -284,7 +259,9 @@ class TestEngineIntegration:
     ):
         from repro.decomposition.projections import projection_view
 
-        engine = Engine(breaker_threshold=1, breaker_cooldown_ms=60_000)
+        engine = Engine(
+            breaker=CircuitBreaker(threshold=1, cooldown_ms=60_000)
+        )
         view = projection_view(small_chain, ("A", "B", "D"))
         self._fail_once(engine, view, small_space)
         with use_kernel(BULK):
@@ -318,47 +295,20 @@ class TestEngineIntegration:
             engine.analysis(view, small_space)
         assert engine.stats()["breaker"]["entries"] == {}
 
-    def test_pin_naive_skips_the_bulk_rung(self, small_chain, small_space):
-        """Once pinned, requests are served degraded without re-paying
-        the doomed bulk attempt: the bulk fault stops firing."""
+    def test_rescued_builds_never_trip(self, small_chain, small_space):
+        """A build the naive retry rescues is served, so it is a
+        success to the breaker however often it recurs."""
         from repro.decomposition.projections import projection_view
 
-        engine = Engine(
-            breaker_threshold=2,
-            breaker_cooldown_ms=60_000,
-            breaker_mode=PIN_NAIVE,
-        )
+        engine = Engine(breaker=CircuitBreaker(threshold=1))
         view = projection_view(small_chain, ("A", "B", "D"))
-        plan = _bulk_only_plan()
-        with use_kernel(BULK), inject(plan):
-            for _ in range(2):  # degraded builds count toward the trip
-                engine.analysis(view, small_space)
-                engine.store.clear()
-            fired_before = len(plan.log)
-            pinned = engine.analysis(view, small_space)
-            # Pinned: the naive rung served without a bulk crash.
-            assert len(plan.log) == fired_before
-        assert pinned is not None
+        with use_kernel(BULK), inject(_bulk_only_plan()):
+            for _ in range(3):
+                assert engine.analysis(view, small_space) is not None
+                engine.store.clear()  # next request must re-derive
         counters = engine.stats()["artifacts"]["memory"]["analysis"]
         assert counters["degradations"] == 3
-        assert engine.stats()["breaker"]["open"] == 1
-
-    def test_pinned_naive_crash_is_typed(
-        self, small_chain, small_space, flaky_analyze
-    ):
-        from repro.decomposition.projections import projection_view
-
-        engine = Engine(
-            breaker_threshold=1,
-            breaker_cooldown_ms=60_000,
-            breaker_mode=PIN_NAIVE,
-        )
-        view = projection_view(small_chain, ("A", "B", "D"))
-        self._fail_once(engine, view, small_space)
-        with use_kernel(BULK):
-            with pytest.raises(KernelFailureError) as excinfo:
-                engine.analysis(view, small_space)
-        assert "pinned" in str(excinfo.value)
+        assert engine.stats()["breaker"]["open"] == 0
 
 
 class TestConcurrentHalfOpenProbes:
@@ -367,9 +317,8 @@ class TestConcurrentHalfOpenProbes:
     The serving tier leans on this: when a cooldown elapses while N
     requests race into admission, one of them must run the recovery
     probe and every other caller must get the typed fail-closed
-    verdict (fail-fast) or the pinned naive rung (pin-naive) -- never
-    a thundering herd of N concurrent ladder runs against artifacts
-    that were crashing moments ago.
+    verdict -- never a thundering herd of N concurrent builds against
+    artifacts that were crashing moments ago.
     """
 
     THREADS = 16
@@ -399,16 +348,14 @@ class TestConcurrentHalfOpenProbes:
         assert all(verdict is not None for verdict in verdicts)
         return verdicts
 
-    def _opened_and_cooled(self, clock, mode):
-        breaker = CircuitBreaker(
-            threshold=1, cooldown_ms=1_000, mode=mode, clock=clock
-        )
+    def _opened_and_cooled(self, clock):
+        breaker = CircuitBreaker(threshold=1, cooldown_ms=1_000, clock=clock)
         breaker.record_failure("space", "fp")
         clock.advance_ms(1_500)  # past the cooldown: next admit probes
         return breaker
 
     def test_fail_fast_admits_exactly_one_probe(self, clock):
-        breaker = self._opened_and_cooled(clock, FAIL_FAST)
+        breaker = self._opened_and_cooled(clock)
         verdicts = self._race_admits(breaker)
         assert verdicts.count(PROBE) == 1
         followers = [v for v in verdicts if v is not PROBE]
@@ -418,16 +365,10 @@ class TestConcurrentHalfOpenProbes:
             for follower in followers
         )
 
-    def test_pin_naive_admits_one_probe_pins_the_rest(self, clock):
-        breaker = self._opened_and_cooled(clock, PIN_NAIVE)
-        verdicts = self._race_admits(breaker)
-        assert verdicts.count(PROBE) == 1
-        assert verdicts.count(PINNED) == self.THREADS - 1
-
     def test_probe_slot_reopens_for_the_next_cooldown(self, clock):
         """After the racing probe *fails*, the circuit is open again:
         a second race (post-cooldown) still admits exactly one."""
-        breaker = self._opened_and_cooled(clock, FAIL_FAST)
+        breaker = self._opened_and_cooled(clock)
         first = self._race_admits(breaker)
         assert first.count(PROBE) == 1
         breaker.record_failure("space", "fp")  # the probe failed

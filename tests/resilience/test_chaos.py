@@ -11,6 +11,7 @@ import pytest
 
 from repro.decomposition.projections import projection_view
 from repro.engine.engine import Engine, UpdateOutcome
+from repro.engine.store import ArtifactStore
 from repro.errors import ReproError
 from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.faults import (
@@ -56,7 +57,7 @@ class TestFailClosedUpdates:
             staticmethod(lambda seconds: None),
         )
         with use_kernel(kernel):
-            engine = Engine(cache_dir=str(tmp_path))
+            engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
             session = make_session(engine, small_chain, small_space)
             state, target = make_request(session, small_chain)
             plan = FaultPlan(seed=13, rules=(FaultRule(point),))
@@ -78,7 +79,7 @@ class TestFailClosedUpdates:
             staticmethod(lambda seconds: None),
         )
         with use_kernel(kernel):
-            engine = Engine(cache_dir=str(tmp_path))
+            engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
             plan = FaultPlan(seed=13, rules=(FaultRule(point),))
             with inject(plan):
                 try:
@@ -105,7 +106,7 @@ class TestColdVersusCachedUnderFaults:
 
         def run(seed):
             with use_kernel(kernel), inject(FaultPlan.light(seed)):
-                engine = Engine(cache_dir=str(tmp_path))
+                engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
                 session = make_session(engine, small_chain, small_space)
                 state, target = make_request(session, small_chain)
                 return session.update(VIEW, state, target)
@@ -127,7 +128,7 @@ class TestLightPlanIsAbsorbed:
             "repro.engine.store.ArtifactStore._sleep",
             staticmethod(lambda seconds: None),
         )
-        engine = Engine(cache_dir=str(tmp_path))
+        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
         with inject(FaultPlan.light(seed=1)):
             session = make_session(engine, small_chain, small_space)
             state, target = make_request(session, small_chain)

@@ -21,7 +21,6 @@ def hermetic_serving_env(monkeypatch):
         "REPRO_STORE_URL",
         "REPRO_BREAKER_THRESHOLD",
         "REPRO_BREAKER_COOLDOWN_MS",
-        "REPRO_BREAKER_MODE",
     ):
         monkeypatch.delenv(var, raising=False)
 

@@ -13,7 +13,7 @@ from repro.errors import (
     ServerDrainingError,
     ServerOverloadedError,
 )
-from repro.resilience.breaker import CircuitBreaker, FAIL_FAST, PIN_NAIVE
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.serving.admission import (
     AdmissionController,
@@ -139,17 +139,15 @@ class TestRetryHints:
 
 
 class TestBreakerGate:
-    def _tripped_breaker(self, clock, mode):
-        breaker = CircuitBreaker(
-            threshold=1, cooldown_ms=1_000, mode=mode, clock=clock
-        )
+    def _tripped_breaker(self, clock):
+        breaker = CircuitBreaker(threshold=1, cooldown_ms=1_000, clock=clock)
         breaker.record_failure("space", "fp")
         return breaker
 
     def test_fail_fast_sheds_while_cooling(self):
         async def scenario():
             clock = FakeClock()
-            breaker = self._tripped_breaker(clock, FAIL_FAST)
+            breaker = self._tripped_breaker(clock)
             controller = AdmissionController(
                 max_inflight=1, queue_depth=4, breaker=breaker
             )
@@ -166,24 +164,12 @@ class TestBreakerGate:
     def test_fail_fast_admits_after_cooldown_for_the_probe(self):
         async def scenario():
             clock = FakeClock()
-            breaker = self._tripped_breaker(clock, FAIL_FAST)
+            breaker = self._tripped_breaker(clock)
             controller = AdmissionController(
                 max_inflight=1, queue_depth=4, breaker=breaker
             )
             clock.now = 2.0  # cooldown elapsed: the probe must run
             controller.admit(make_ticket(0))
-            return controller.queued
-
-        assert run(scenario()) == 1
-
-    def test_pin_naive_admits_normally(self):
-        async def scenario():
-            clock = FakeClock()
-            breaker = self._tripped_breaker(clock, PIN_NAIVE)
-            controller = AdmissionController(
-                max_inflight=1, queue_depth=4, breaker=breaker
-            )
-            controller.admit(make_ticket(0))  # engine degrades instead
             return controller.queued
 
         assert run(scenario()) == 1

@@ -1,9 +1,10 @@
-"""``python -m repro.harness --serve / --load-gen`` delegation."""
+"""``python -m repro.harness --load-gen`` and the server's warm-start exit."""
 
 import asyncio
 import json
 
 from repro.harness.__main__ import main as harness_main
+from repro.serving.__main__ import main as serve_main
 from repro.serving.server import UpdateServer
 
 
@@ -41,6 +42,6 @@ def test_load_gen_drives_a_running_server(spec, capsys):
 
 def test_serve_forwards_warm_url_failures_typed(capsys):
     # /etc/passwd is a file, so the sibling can never create a store
-    # beneath it: the warm start fails typed and --serve exits 3
-    # before ever binding a socket.
-    assert harness_main(["--serve", "--warm-url=/etc/passwd/x.db"]) == 3
+    # beneath it: the warm start fails typed and python -m
+    # repro.serving exits 3 before ever binding a socket.
+    assert serve_main(["--warm-url=/etc/passwd/x.db"]) == 3
