@@ -2,12 +2,11 @@
 
 Micro-benchmarks for the pieces the bulk kernel is built from:
 
-* the packed bit-matrix **transpose** (one wide int, log-depth block
-  swaps) against the per-bit walk it replaces;
+* the **up-matrix read off the inclusion index** of a mask-built
+  poset (one AND per tuple-bit of each element) against the per-bit
+  walk that transposes the same poset's down-sets;
 * **pulled-back monotonicity** (one mask containment per element)
   against the walk over every comparable pair;
-* the **incremental poset insert** (:meth:`FinitePoset.with_element`)
-  against a from-scratch ``from_masks`` rebuild;
 * the **restriction-grouped image table** (one ``mapping.apply`` per
   distinct read-set restriction) against per-state application.
 
@@ -18,20 +17,14 @@ import random
 
 from repro.algebra.poset import FinitePoset
 from repro.decomposition.chain import ChainSchema
-from repro.kernel.bulkops import pullback_monotone, transpose_masks
+from repro.kernel.bulkops import pullback_monotone
 from repro.kernel.config import kernel_mode, use_kernel
 
 N = 512
-WIDTH = 512
-
-
-def random_rows(seed, n=N, width=WIDTH):
-    rng = random.Random(seed)
-    return [rng.getrandbits(width) for _ in range(n)]
 
 
 def bitwalk_transpose(rows, width):
-    """The per-bit reference the packed transpose replaces."""
+    """The per-bit reference for a poset's up-matrix."""
     columns = [0] * width
     for i, row in enumerate(rows):
         probe = row
@@ -42,17 +35,30 @@ def bitwalk_transpose(rows, width):
     return columns
 
 
-def test_s9_packed_transpose(benchmark):
-    rows = random_rows(3)
+def up_matrix_fixture(seed=3, n=N, width=16):
+    rng = random.Random(seed)
+    masks = rng.sample(range(1 << width), n)
+    return FinitePoset.from_masks(tuple(range(n)), masks)
+
+
+def test_s9_up_matrix_from_index(benchmark):
+    poset = up_matrix_fixture()
     benchmark.extra_info["kernel"] = kernel_mode()
-    assert transpose_masks(rows, WIDTH) == bitwalk_transpose(rows, WIDTH)
-    benchmark(lambda: transpose_masks(rows, WIDTH))
+    assert poset._up_matrix() == tuple(
+        bitwalk_transpose(poset.leq_matrix(), N)
+    )
+
+    def kernel():
+        poset._above = None  # drop the cached matrix: time the derivation
+        return poset._up_matrix()
+
+    benchmark(kernel)
 
 
 def test_s9_bitwalk_transpose(benchmark):
-    rows = random_rows(3)
+    below = up_matrix_fixture().leq_matrix()
     benchmark.extra_info["kernel"] = kernel_mode()
-    benchmark(lambda: bitwalk_transpose(rows, WIDTH))
+    benchmark(lambda: bitwalk_transpose(below, N))
 
 
 def monotone_pair_walk(below_source, below_target, fidx):
@@ -94,31 +100,6 @@ def test_s9_monotone_pair_walk(benchmark):
     below_s, below_t, fidx = monotone_fixture()
     benchmark.extra_info["kernel"] = kernel_mode()
     benchmark(lambda: monotone_pair_walk(below_s, below_t, fidx))
-
-
-def insert_fixture(seed=29, n=N, width=16):
-    rng = random.Random(seed)
-    masks = rng.sample(range(1 << width), n + 1)
-    base = FinitePoset.from_masks(tuple(range(n)), masks[:n])
-    base._up_matrix()  # a realistic base: up-matrix already derived
-    return base, masks
-
-
-def test_s9_incremental_insert(benchmark):
-    base, masks = insert_fixture()
-    benchmark.extra_info["kernel"] = kernel_mode()
-    incremental = base.with_element(len(masks) - 1, masks[-1])
-    rebuilt = FinitePoset.from_masks(tuple(range(len(masks))), masks)
-    assert incremental.leq_matrix() == rebuilt.leq_matrix()
-    benchmark(lambda: base.with_element(len(masks) - 1, masks[-1]))
-
-
-def test_s9_rebuild_insert(benchmark):
-    _, masks = insert_fixture()
-    benchmark.extra_info["kernel"] = kernel_mode()
-    benchmark(
-        lambda: FinitePoset.from_masks(tuple(range(len(masks))), masks)
-    )
 
 
 def image_table_fixture():

@@ -65,8 +65,8 @@ class FinitePoset:
         self._above: Optional[Tuple[int, ...]] = None
         self._minimal: Optional[Tuple[Hashable, ...]] = None
         self._maximal: Optional[Tuple[Hashable, ...]] = None
-        #: Element encodings retained by :meth:`from_masks`; they enable
-        #: the O(width + n) single-element delta of :meth:`with_element`.
+        #: Element encodings and their inclusion index, retained by
+        #: :meth:`from_masks`; :meth:`_up_matrix` reads up-sets off them.
         self._source_masks: Optional[Tuple[int, ...]] = None
         self._contain: Optional[Tuple[int, ...]] = None
 
@@ -163,8 +163,6 @@ class FinitePoset:
                     down &= ~contain[t]
                 below.append(down)
         poset = cls(elements, below)
-        # Retain the encoding so with_element() can splice a single new
-        # state in O(width + n) instead of rebuilding from scratch.
         poset._source_masks = masks
         poset._contain = tuple(contain)
         return poset
@@ -282,16 +280,34 @@ class FinitePoset:
         """Transpose of :meth:`leq_matrix`: ``matrix[i]`` has bit ``j``
         set iff ``elements[i] <= elements[j]`` (cached).
 
-        Derived in one pass with the word-packed transpose of
-        :func:`repro.kernel.bulkops.transpose_masks`; large matrices run
-        ``log2(side)`` whole-matrix delta-exchanges instead of a Python
-        step per set bit.
+        A :meth:`from_masks` poset reads each up-set off its inclusion
+        index: the elements above ``i`` are those holding every tuple-bit
+        of ``masks[i]``, the AND of ``contain[t]`` over those bits (every
+        element, for the empty mask).  Any other poset transposes its
+        down-sets with :func:`repro.kernel.bulkops.transpose_masks`.
         """
-        if self._above is None:
+        if self._above is not None:
+            return self._above
+        n = len(self._elements)
+        if self._source_masks is None or self._contain is None:
             from repro.kernel.bulkops import transpose_masks
 
-            n = len(self._elements)
             self._above = tuple(transpose_masks(self._below, n))
+            return self._above
+        guard = current_guard()
+        contain = self._contain
+        full = (1 << n) - 1
+        above: List[int] = []
+        for mask in self._source_masks:
+            if guard is not None:
+                guard.tick()
+            up = full
+            while mask:
+                t = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                up &= contain[t]
+            above.append(up)
+        self._above = tuple(above)
         return self._above
 
     def _up_mask(self, element: Hashable) -> int:
@@ -312,8 +328,8 @@ class FinitePoset:
     def maximal_elements(self) -> Tuple[Hashable, ...]:
         """Elements with nothing strictly above them (cached).
 
-        Shares the single transpose pass of :meth:`_up_matrix` instead
-        of re-walking ``_below`` bit by bit per element.
+        Reads the cached up-sets of :meth:`_up_matrix` instead of
+        re-walking ``_below`` bit by bit per element.
         """
         if self._maximal is None:
             up = self._up_matrix()
@@ -454,76 +470,6 @@ class FinitePoset:
             elements,
             lambda p, q: self.leq(p[0], q[0]) and other.leq(p[1], q[1]),
         )
-
-    def with_element(
-        self, element: Hashable, mask: int
-    ) -> "FinitePoset":
-        """A new poset with one extra mask-encoded element (incremental).
-
-        Only available on posets built by :meth:`from_masks` (the
-        retained encoding is what makes the delta cheap).  The new
-        element's down- and up-sets come from the inverted ``contain``
-        index in O(width) mask ops, existing rows gain at most one bit,
-        and a cached up-matrix is carried forward instead of being
-        rebuilt -- the single-state delta costs O(width + n) rather
-        than the O(n * width) of a from-scratch construction.
-        """
-        if self._source_masks is None or self._contain is None:
-            raise PosetError(
-                "with_element requires a poset built by from_masks"
-            )
-        if element in self._index:
-            raise PosetError(f"{element!r} is already in the poset")
-        n = len(self._elements)
-        guard = current_guard()
-        contain = self._contain
-        width = len(contain)
-        if guard is not None:
-            guard.tick(max(width, 1))
-        full = (1 << n) - 1
-        # Down-set: elements whose mask is included in the new mask --
-        # start from everything and knock out each element containing a
-        # tuple-bit the new mask lacks.
-        down = full
-        probe = ((1 << width) - 1) & ~mask
-        while probe:
-            t = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            down &= ~contain[t]
-        # Up-set: elements whose mask includes the new mask.
-        up = full
-        probe = mask
-        while probe and up:
-            t = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            up &= contain[t] if t < width else 0
-        if up & down:
-            raise PosetError("element masks must be distinct")
-        bit = 1 << n
-        below = [
-            row | bit if up & (1 << i) else row
-            for i, row in enumerate(self._below)
-        ]
-        below.append(down | bit)
-        poset = FinitePoset((*self._elements, element), below)
-        poset._source_masks = (*self._source_masks, mask)
-        new_contain = list(contain)
-        if mask.bit_length() > width:
-            new_contain.extend([0] * (mask.bit_length() - width))
-        probe = mask
-        while probe:
-            t = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            new_contain[t] |= bit
-        poset._contain = tuple(new_contain)
-        if self._above is not None:
-            above = [
-                row | bit if down & (1 << i) else row
-                for i, row in enumerate(self._above)
-            ]
-            above.append(up | bit)
-            poset._above = tuple(above)
-        return poset
 
     def restrict(self, subset: Iterable[Hashable]) -> "FinitePoset":
         """The induced subposet on *subset*."""

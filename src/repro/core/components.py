@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import (
-    NotAComplementError,
-    NotABooleanAlgebraError,
-    ReproError,
-)
+from repro.errors import NotAComplementError, ReproError
 from repro.algebra.boolean_algebra import FiniteBooleanAlgebra
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance
@@ -213,7 +209,6 @@ class ComponentAlgebra:
         space: StateSpace,
         candidates: Iterable[View],
         include_bounds: bool = True,
-        require_boolean: bool = True,
     ) -> "ComponentAlgebra":
         """Find the components among *candidates* and build the algebra.
 
@@ -266,17 +261,12 @@ class ComponentAlgebra:
             )
 
         component_of = {c.key: c for c in components}
-        try:
-            algebra = FiniteBooleanAlgebra(
-                [c.key for c in components],
-                lambda a, b: theta_leq(
-                    component_of[a].analysis, component_of[b].analysis
-                ),
-            )
-        except NotABooleanAlgebraError:
-            if require_boolean:
-                raise
-            raise
+        algebra = FiniteBooleanAlgebra(
+            [c.key for c in components],
+            lambda a, b: theta_leq(
+                component_of[a].analysis, component_of[b].analysis
+            ),
+        )
         instance = cls(space, components, algebra)
         # Resolve complements: the algebra complement and the strong
         # complement coincide (Lemma 2.3.2); link them on the objects.

@@ -69,6 +69,7 @@ from repro.engine.backends import ArtifactBackend
 from repro.engine.fingerprint import is_content_addressed, stable_fingerprint
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import (
+    BackendConfigError,
     DeadlineExceededError,
     KernelFailureError,
     ReproError,
@@ -140,7 +141,15 @@ class UpdateOutcome:
 
 
 class Engine:
-    """Artifact-compiling facade over the paper's machinery."""
+    """Artifact-compiling facade over the paper's machinery.
+
+    Artifacts are memoized in *store* when one is given, else in a
+    default-sized store on *backend* (or on the ``REPRO_STORE_*``
+    selection when that is ``None`` too).  A store's backend is fixed
+    when the store is built, so passing both *store* and *backend*
+    raises :class:`~repro.errors.BackendConfigError` instead of
+    silently dropping the backend.
+    """
 
     def __init__(
         self,
@@ -150,9 +159,13 @@ class Engine:
         max_steps: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
-        #: The artifact store: the given one (an empty store is falsy,
-        #: so test for ``None``), else a default-sized store on
-        #: *backend* or the ``REPRO_STORE_*`` selection.
+        if store is not None and backend is not None:
+            raise BackendConfigError(
+                "Engine takes store= or backend=, not both: pass the "
+                "backend to the store, ArtifactStore(backend=...)"
+            )
+        #: The artifact store (an empty store is falsy, so test for
+        #: ``None``).
         self.store = (
             store if store is not None else ArtifactStore(backend=backend)
         )

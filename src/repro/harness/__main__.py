@@ -28,6 +28,9 @@ hit, visible in ``--stats``.
 repro.serving``) with the threaded load generator (``--clients``,
 ``--duration`` seconds, optional ``--deadline`` ms per request) and
 prints the JSON :class:`~repro.serving.client.LoadReport`.
+
+Any other ``--`` argument is rejected with exit status 2, as an unknown
+experiment id is, rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -119,6 +122,32 @@ def _stats_report(engine: Engine) -> str:
     return "\n".join(lines)
 
 
+#: Every flag :func:`main` reads; those ending in ``=`` take a value.
+_FLAGS = (
+    "--markdown",
+    "--stats",
+    "--load-gen",
+    "--deadline=",
+    "--workers=",
+    "--backend=",
+    "--store-url=",
+    "--port=",
+    "--host=",
+    "--clients=",
+    "--duration=",
+)
+
+
+def _unknown_flags(argv: list[str]) -> list[str]:
+    """The ``--`` arguments that name no flag in :data:`_FLAGS`."""
+    unknown: list[str] = []
+    for arg in argv:
+        name, equals, _value = arg.partition("=")
+        if arg.startswith("--") and name + equals not in _FLAGS:
+            unknown.append(arg)
+    return unknown
+
+
 def _flag_value(argv: list[str], name: str) -> str | None:
     prefix = f"--{name}="
     for arg in argv:
@@ -174,6 +203,11 @@ def _run_one(experiment_id: str, engine: Engine):
 
 def main(argv: list[str]) -> int:
     """Run the requested experiments (all by default)."""
+    unknown_flags = _unknown_flags(argv)
+    if unknown_flags:
+        print(f"unknown flag(s): {', '.join(unknown_flags)}")
+        print(f"known flags: {', '.join(_FLAGS)}")
+        return 2
     if "--load-gen" in argv:
         return _load_gen(argv)
     markdown = "--markdown" in argv

@@ -22,10 +22,10 @@ arithmetic.  Modules:
   implementation; :func:`use_kernel` overrides it per test.
 * :mod:`~repro.kernel.bitspace` -- :class:`TupleCodec`, the
   instance <-> bitmask round trip.
-* :mod:`~repro.kernel.bulkops` -- word-packed bulk primitives: the
-  packed bit-matrix transpose, pulled-back monotonicity, fiber masks,
-  read-set restriction keys, and the amortized ``StrideTicker`` guard
-  discipline.
+* :mod:`~repro.kernel.bulkops` -- word-packed bulk primitives:
+  pulled-back monotonicity, fiber masks, read-set restriction keys, the
+  per-bit transpose that gives posets built without an encoding their
+  up-sets, and the amortized ``StrideTicker`` guard discipline.
 * :mod:`~repro.kernel.enumfast` -- per-relation constraints (FDs, JDs,
   typed columns) precompiled to mask predicates for enumeration.
 * :mod:`~repro.kernel.strongfast` -- the strong-view analysis computed

@@ -11,15 +11,11 @@ machine integer operations::
     a.intersection(b)          <->  enc(a) & enc(b)
     a.symmetric_difference(b)  <->  enc(a) ^ enc(b)
 
-Two constructions cover the library's needs:
-
-* :meth:`TupleCodec.from_universe` -- the full typed tuple universe of a
-  schema (used by enumeration, where candidate subsets range over it);
-* :meth:`TupleCodec.from_instances` -- only the rows actually observed
-  in a family of states (used by :class:`StateSpace` and view-image
-  posets, where ``LDB`` is often far smaller than the universe, and
-  where generator-built states may contain rows outside any typed
-  universe).
+:meth:`TupleCodec.from_instances` builds the table from only the rows
+actually observed in a family of states (used by :class:`StateSpace`
+and view-image posets, where ``LDB`` is often far smaller than the
+typed tuple universe, and where generator-built states may contain rows
+outside any typed universe).
 
 Bit layout is deterministic: relations in sorted name order, rows in
 :func:`repro.relational.relations._sort_key` order within each
@@ -28,28 +24,13 @@ relation, so equal state families always produce equal masks.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import ReproError
 from repro.relational.instances import DatabaseInstance
 from repro.relational.relations import Relation, Row, _sort_key
-from repro.relational.schema import Schema
 from repro.resilience.faults import fault_check
 from repro.resilience.guard import current_guard
-from repro.typealgebra.assignment import TypeAssignment
-
-
-def universe_rows(
-    schema: Schema, relation: str, assignment: TypeAssignment
-) -> Tuple[Row, ...]:
-    """All tuples a relation could contain, per its column types."""
-    rel_schema = schema.relation(relation)
-    column_values = [
-        assignment.sorted_extension(t)
-        for t in rel_schema.effective_column_types()
-    ]
-    return tuple(itertools.product(*column_values))
 
 
 class TupleCodec:
@@ -79,19 +60,6 @@ class TupleCodec:
         self._slots: Tuple[Tuple[str, Row], ...] = tuple(slots)
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_universe(
-        cls, schema: Schema, assignment: TypeAssignment
-    ) -> "TupleCodec":
-        """Codec over the full typed tuple universe of a schema."""
-        return cls(
-            schema.arities(),
-            {
-                rel.name: universe_rows(schema, rel.name, assignment)
-                for rel in schema.relations
-            },
-        )
 
     @classmethod
     def from_instances(

@@ -6,9 +6,10 @@ dominate the derivations.  This module packs whole families of masks
 into single wide integers and replaces the inner loops with O(words)
 sweeps of ``&``/``|``/``^``/``bit_count``:
 
-* :func:`transpose_masks` -- a packed square bit-matrix transpose via
-  the classic log-depth block-swap, used to derive a poset's up-matrix
-  from its down-matrix in one pass instead of ``n^2`` bit probes;
+* :func:`transpose_masks` -- a bit-matrix transpose by one walk over
+  each row's set bits, which derives the up-matrix of a poset built
+  without an encoding (mask-built posets read theirs off the inclusion
+  index, :meth:`repro.algebra.poset.FinitePoset._up_matrix`);
 * :func:`pullback_monotone` -- monotonicity of an indexed map between
   two posets decided by pulled-back down-set masks (one mask comparison
   per element, selectors memoized per distinct image), replacing the
@@ -23,12 +24,11 @@ sweeps of ``&``/``|``/``^``/``bit_count``:
   accounted exactly in the step budget, so cooperative cancellation
   stays accurate without a per-state call.
 
-Packing invariants (DESIGN.md "Word-packed memory layout"): bit ``i``
+Packing invariant (DESIGN.md "Word-packed memory layout"): bit ``i``
 of every family-level mask refers to the ``i``-th element of the
 deterministically ordered family (state order for state spaces, slot
-order for codecs), and packed matrices are row-major with a
-power-of-two row stride.  Nothing here changes what is *computed* --
-only how -- so fingerprints, artifact keys, and every table are
+order for codecs).  Nothing here changes what is *computed* -- only
+how -- so fingerprints, artifact keys, and every table are
 byte-identical to the naive kernel's.
 """
 
@@ -98,101 +98,28 @@ class StrideTicker:
             self._guard.tick(pending)
 
 
-# -- packed bit-matrix transpose ------------------------------------------------
-
-#: Per-side cache of transpose levels: side -> ((shift, mask), ...).
-_LEVEL_CACHE: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-
-#: Below this many rows the plain per-bit walk beats packing overhead.
-_TRANSPOSE_MIN_SIDE = 64
-
-
-def _transpose_levels(side: int) -> Tuple[Tuple[int, int], ...]:
-    """The block-swap schedule for a ``side x side`` packed matrix.
-
-    A packed row-major matrix with power-of-two row stride ``side``
-    holds entry ``(r, c)`` at bit ``r*side + c``; transposition swaps
-    row-bit ``k`` with column-bit ``k`` independently for each ``k``.
-    Level ``k`` swaps every entry pair whose indices differ exactly in
-    those two bits via the classic delta-exchange::
-
-        t = (P ^ (P >> shift)) & mask ;  P ^= t ;  P ^= t << shift
-
-    where ``shift = 2**k * (side - 1)`` and *mask* selects entries with
-    column-bit ``k`` set and row-bit ``k`` clear.
-    """
-    levels = _LEVEL_CACHE.get(side)
-    if levels is not None:
-        return levels
-    schedule: List[Tuple[int, int]] = []
-    log = side.bit_length() - 1
-    # reprolint: holds-guard -- log2(side)*side mask-construction steps,
-    # computed once per side and cached for the process lifetime
-    for k in range(log):
-        block = 1 << k
-        # Column pattern within one row: bits c < side with bit k set.
-        column_pattern = 0
-        for c in range(side):  # reprolint: holds-guard -- cached per side
-            if (c >> k) & 1:
-                column_pattern |= 1 << c
-        # Rows with bit k clear, as a sum of row-base powers.
-        row_bases = 0
-        for r in range(side):  # reprolint: holds-guard -- cached per side
-            if not (r >> k) & 1:
-                row_bases |= 1 << (r * side)
-        schedule.append((block * (side - 1), column_pattern * row_bases))
-    levels = tuple(schedule)
-    _LEVEL_CACHE[side] = levels
-    return levels
+# -- bit-matrix transpose -------------------------------------------------------
 
 
 def transpose_masks(rows: Sequence[int], width: int) -> List[int]:
     """Transpose a bit matrix of ``len(rows)`` rows by *width* columns.
 
     Returns *width* masks of ``len(rows)`` bits: bit ``i`` of output
-    ``j`` equals bit ``j`` of ``rows[i]``.  For small matrices this is
-    the straightforward per-bit walk; past ``_TRANSPOSE_MIN_SIDE`` the
-    matrix is packed into one wide int (square, power-of-two side) and
-    transposed with ``log2(side)`` whole-matrix delta-exchanges --
-    O(words) big-int operations instead of O(popcount) Python steps.
+    ``j`` equals bit ``j`` of ``rows[i]``, set by one walk over each
+    row's set bits.
     """
-    n = len(rows)
-    side = 1 << max(n - 1, width - 1, _TRANSPOSE_MIN_SIDE - 1).bit_length()
-    if n < _TRANSPOSE_MIN_SIDE and width < _TRANSPOSE_MIN_SIDE:
-        columns = [0] * width
-        ticker = StrideTicker()
-        for i, row in enumerate(rows):
-            ticker.tick()
-            probe = row
-            while probe:  # reprolint: holds-guard -- bounded by the row
-                # popcount; the enclosing per-row loop is stride-ticked
-                low = probe & -probe
-                probe ^= low
-                columns[low.bit_length() - 1] |= 1 << i
-        ticker.flush()
-        return columns
-    guard = current_guard()
-    if guard is not None:
-        # Pre-charge the whole pass: side*log(side) word-level sweeps.
-        guard.tick(n)
-    row_bytes = side // 8
-    packed = int.from_bytes(
-        b"".join(row.to_bytes(row_bytes, "little") for row in rows),
-        "little",
-    )
-    # reprolint: holds-guard -- log2(side) whole-matrix delta exchanges;
-    # the pass pre-charged the guard above
-    for shift, mask in _transpose_levels(side):
-        delta = (packed ^ (packed >> shift)) & mask
-        packed ^= delta
-        packed ^= delta << shift
-    data = packed.to_bytes(side * row_bytes, "little")
-    out_mask = (1 << n) - 1
-    return [
-        int.from_bytes(data[j * row_bytes : (j + 1) * row_bytes], "little")
-        & out_mask
-        for j in range(width)
-    ]
+    columns = [0] * width
+    ticker = StrideTicker()
+    for i, row in enumerate(rows):
+        ticker.tick()
+        probe = row
+        while probe:  # reprolint: holds-guard -- bounded by the row
+            # popcount; the enclosing per-row loop is stride-ticked
+            low = probe & -probe
+            probe ^= low
+            columns[low.bit_length() - 1] |= 1 << i
+    ticker.flush()
+    return columns
 
 
 # -- preimage classes and pulled-back orders ------------------------------------

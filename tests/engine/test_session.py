@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.engine.backends.sqlitedb import SQLiteBackend
 from repro.engine.engine import Engine, current_engine, default_engine
 from repro.engine.store import ArtifactKey, ArtifactStore
-from repro.errors import ReproError, UpdateRejected
+from repro.errors import BackendConfigError, ReproError, UpdateRejected
 from repro.kernel.config import kernel_mode
 from repro.resilience.faults import inject
 from repro.typealgebra.algebra import NULL
@@ -95,6 +96,12 @@ class TestGivenStore:
         artifacts = second.stats()["artifacts"]
         assert artifacts["backend"]["kinds"]["space"]["disk_hits"] == 1
         assert artifacts["memory"]["space"]["builds"] == 0
+
+    def test_store_and_backend_together_fail_typed(self, tmp_path):
+        store = ArtifactStore(cache_dir=str(tmp_path))
+        backend = SQLiteBackend(str(tmp_path / "artifacts.db"))
+        with pytest.raises(BackendConfigError, match="not both"):
+            Engine(store=store, backend=backend)
 
     def test_invalidate_space_keeps_the_request_alias(
         self, tmp_path, small_chain

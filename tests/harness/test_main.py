@@ -1,5 +1,7 @@
 """Unit tests for the harness CLI (:mod:`repro.harness.__main__`)."""
 
+import pytest
+
 from repro.harness.__main__ import main
 
 
@@ -36,3 +38,11 @@ class TestMain:
 
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["E999"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--serve", "--stat"])
+    def test_unknown_flag_rejected(self, capsys, flag):
+        assert main([flag, "E1"]) == 2
+        captured = capsys.readouterr().out
+        assert f"unknown flag(s): {flag}" in captured
+        assert "--stats" in captured
+        assert "[E1]" not in captured

@@ -1,9 +1,9 @@
-"""Unit tests for :mod:`repro.kernel.bulkops` and the incremental
-poset delta (:meth:`FinitePoset.with_element`).
+"""Unit tests for :mod:`repro.kernel.bulkops` and the up-set rule of
+:meth:`FinitePoset._up_matrix`.
 
-Every packed primitive is checked against an obviously-correct naive
-reference on randomized inputs spanning both the small (bitwalk) and
-large (packed delta-exchange) regimes.
+Every primitive is checked against an obviously-correct naive reference
+on randomized inputs, and a mask-built poset's up-sets, read off its
+inclusion index, against the transpose of its down-sets.
 """
 
 import random
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.algebra.poset import FinitePoset
-from repro.errors import PosetError
+from repro.errors import DeadlineExceededError
 from repro.kernel.bulkops import (
     DEFAULT_TICK_STRIDE,
     StrideTicker,
@@ -21,7 +21,7 @@ from repro.kernel.bulkops import (
     transpose_masks,
     union_selected,
 )
-from repro.resilience.guard import ExecutionGuard
+from repro.resilience.guard import ExecutionGuard, guarded
 
 
 def naive_transpose(rows, width):
@@ -48,15 +48,6 @@ class TestTransposeMasks:
         rng = random.Random(42)
         rows = [rng.getrandbits(width) for _ in range(n)]
         assert transpose_masks(transpose_masks(rows, width), n) == rows
-
-    def test_large_pass_charges_the_guard(self):
-        guard = ExecutionGuard()
-        rows = [(1 << 100) - 1] * 100
-        # Temporarily install no guard context: pass the packed branch
-        # its rows and confirm current_guard() is consulted -- here we
-        # just assert correctness of the packed branch at this size.
-        assert transpose_masks(rows, 100) == naive_transpose(rows, 100)
-        assert guard.steps == 0  # not installed, nothing charged
 
 
 class TestFiberAndUnion:
@@ -156,8 +147,6 @@ class TestStrideTicker:
         assert guard.steps == 10  # flush of an empty remainder is a no-op
 
     def test_step_budget_trips_at_the_same_total(self):
-        from repro.errors import DeadlineExceededError
-
         guard = ExecutionGuard(max_steps=50)
         ticker = StrideTicker(guard=guard, stride=8)
         with pytest.raises(DeadlineExceededError):
@@ -174,75 +163,57 @@ class TestStrideTicker:
         ticker.flush()  # nothing to charge, nothing to raise
 
 
-class TestWithElement:
-    def rebuild(self, elements, masks):
-        return FinitePoset.from_masks(elements, masks)
+def random_mask_family(seed, max_n=300):
+    """Distinct masks of 1 to *max_n* elements; even seeds include 0."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_n)
+    masks = rng.sample(range(1, 1 << rng.randint(n.bit_length(), 14)), n)
+    if seed % 2 == 0:
+        masks[rng.randrange(n)] = 0
+    return masks
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_from_scratch_rebuild(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 30)
-        width = 8
-        masks = rng.sample(range(1 << width), n + 1)
-        base = FinitePoset.from_masks(tuple(range(n)), masks[:n])
-        incremental = base.with_element(n, masks[n])
-        rebuilt = self.rebuild(tuple(range(n + 1)), masks)
-        assert incremental.elements == rebuilt.elements
-        assert incremental.leq_matrix() == rebuilt.leq_matrix()
-        assert (
-            incremental.minimal_elements() == rebuilt.minimal_elements()
-        )
-        assert (
-            incremental.maximal_elements() == rebuilt.maximal_elements()
+
+class TestUpMatrix:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_index_matches_the_transposed_down_sets(self, seed):
+        masks = random_mask_family(seed)
+        n = len(masks)
+        poset = FinitePoset.from_masks(tuple(range(n)), masks)
+        assert poset._up_matrix() == tuple(
+            naive_transpose(poset.leq_matrix(), n)
         )
 
-    def test_carries_a_cached_up_matrix_forward(self):
-        rng = random.Random(99)
-        masks = rng.sample(range(1 << 8), 21)
-        base = FinitePoset.from_masks(tuple(range(20)), masks[:20])
-        base._up_matrix()  # populate the cache
-        incremental = base.with_element(20, masks[20])
-        rebuilt = self.rebuild(tuple(range(21)), masks)
-        assert incremental._up_matrix() == rebuilt._up_matrix()
+    def test_lone_empty_mask(self):
+        poset = FinitePoset.from_masks(("only",), [0])
+        assert poset._up_matrix() == (1,)
+        assert poset.maximal_elements() == ("only",)
 
-    def test_supports_repeated_insertion(self):
-        masks = [0b0001, 0b0011, 0b0111, 0b1111, 0b0101, 0b1001]
-        poset = FinitePoset.from_masks(("e0",), masks[:1])
-        for i, mask in enumerate(masks[1:], start=1):
-            poset = poset.with_element(f"e{i}", mask)
-        rebuilt = self.rebuild(tuple(f"e{i}" for i in range(6)), masks)
-        assert poset.leq_matrix() == rebuilt.leq_matrix()
+    def test_only_posets_without_an_encoding_transpose(self, monkeypatch):
+        from repro.kernel import bulkops
 
-    def test_wider_mask_grows_the_contain_index(self):
-        base = FinitePoset.from_masks(("a", "b"), [0b01, 0b11])
-        grown = base.with_element("c", 0b10111)
-        rebuilt = self.rebuild(("a", "b", "c"), [0b01, 0b11, 0b10111])
-        assert grown.leq_matrix() == rebuilt.leq_matrix()
-        # And the retained encoding still supports further inserts.
-        again = grown.with_element("d", 0b10000)
-        rebuilt = self.rebuild(
-            ("a", "b", "c", "d"), [0b01, 0b11, 0b10111, 0b10000]
+        calls = []
+
+        def counting(rows, width):
+            calls.append(width)
+            return transpose_masks(rows, width)
+
+        monkeypatch.setattr(bulkops, "transpose_masks", counting)
+        masks = random_mask_family(5, max_n=70)
+        FinitePoset.from_masks(tuple(range(len(masks))), masks)._up_matrix()
+        assert calls == []
+        divides = FinitePoset.from_leq(range(1, 71), lambda a, b: b % a == 0)
+        assert divides._up_matrix() == tuple(
+            naive_transpose(divides.leq_matrix(), 70)
         )
-        assert again.leq_matrix() == rebuilt.leq_matrix()
+        assert calls == [70]
 
-    def test_duplicate_mask_is_rejected(self):
-        base = FinitePoset.from_masks(("a", "b"), [0b01, 0b11])
-        with pytest.raises(PosetError, match="distinct"):
-            base.with_element("c", 0b11)
-
-    def test_duplicate_element_is_rejected(self):
-        base = FinitePoset.from_masks(("a", "b"), [0b01, 0b11])
-        with pytest.raises(PosetError, match="already in the poset"):
-            base.with_element("a", 0b10)
-
-    def test_requires_a_from_masks_poset(self):
-        poset = FinitePoset.from_leq((1, 2), lambda a, b: a <= b)
-        with pytest.raises(PosetError, match="from_masks"):
-            poset.with_element(3, 0b100)
-
-    def test_empty_mask_inserts_a_bottom(self):
-        base = FinitePoset.from_masks(("a", "b"), [0b01, 0b11])
-        poset = base.with_element("bot", 0)
-        assert poset.bottom() == "bot"
-        rebuilt = self.rebuild(("a", "b", "bot"), [0b01, 0b11, 0])
-        assert poset.leq_matrix() == rebuilt.leq_matrix()
+    def test_step_budget_trips_and_caches_nothing(self):
+        rng = random.Random(300)
+        masks = rng.sample(range(1 << 12), 300)
+        poset = FinitePoset.from_masks(tuple(range(300)), masks)
+        with guarded(ExecutionGuard(max_steps=100)):
+            with pytest.raises(DeadlineExceededError):
+                poset._up_matrix()
+        assert poset._up_matrix() == tuple(
+            naive_transpose(poset.leq_matrix(), 300)
+        )

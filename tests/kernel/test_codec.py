@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel.bitspace import TupleCodec
-from repro.relational.enumeration import StateSpace, enumerate_instances
+from repro.relational.enumeration import (
+    StateSpace,
+    enumerate_instances,
+    tuple_universe,
+)
 from repro.relational.instances import DatabaseInstance
 from repro.relational.relations import Relation
 from repro.relational.schema import RelationSchema, Schema
@@ -27,19 +31,30 @@ def assignment():
     return TypeAssignment.from_names({"A": ("a1", "a2"), "B": ("b1",)})
 
 
+def universe_codec(schema, assignment):
+    """A codec over the full typed tuple universe of *schema*."""
+    return TupleCodec(
+        schema.arities(),
+        {
+            rel.name: tuple_universe(schema, rel.name, assignment)
+            for rel in schema.relations
+        },
+    )
+
+
 class TestFromUniverse:
     def test_width_is_total_universe_size(self, schema, assignment):
-        codec = TupleCodec.from_universe(schema, assignment)
+        codec = universe_codec(schema, assignment)
         # |R universe| = 2*1, |S universe| = 2.
         assert codec.width == 4
 
     def test_round_trip_all_states(self, schema, assignment):
-        codec = TupleCodec.from_universe(schema, assignment)
+        codec = universe_codec(schema, assignment)
         for state in enumerate_instances(schema, assignment):
             assert codec.decode(codec.encode(state)) == state
 
     def test_set_operations_are_integer_operations(self, schema, assignment):
-        codec = TupleCodec.from_universe(schema, assignment)
+        codec = universe_codec(schema, assignment)
         states = list(enumerate_instances(schema, assignment))
         for a in states[:6]:
             for b in states[:6]:
@@ -50,7 +65,7 @@ class TestFromUniverse:
                 assert codec.encode(a.symmetric_difference(b)) == ea ^ eb
 
     def test_out_of_table_row_raises(self, schema, assignment):
-        codec = TupleCodec.from_universe(schema, assignment)
+        codec = universe_codec(schema, assignment)
         bad = DatabaseInstance(
             {"R": Relation([("zzz", "b1")], 2), "S": Relation((), 1)}
         )
@@ -58,7 +73,7 @@ class TestFromUniverse:
             codec.encode(bad)
 
     def test_decode_rejects_out_of_range_mask(self, schema, assignment):
-        codec = TupleCodec.from_universe(schema, assignment)
+        codec = universe_codec(schema, assignment)
         with pytest.raises(ReproError, match="outside the"):
             codec.decode(1 << codec.width)
 
