@@ -5,8 +5,10 @@ enumerate ``LDB``, analyse the candidate views, discover the component
 algebra, compile the update procedure -- then service the request.  The
 warm path services the same request through an already-compiled
 session, so the only per-request work is Procedure 3.2.3's table
-lookups.  The ratio is the engine's reason to exist; the suite asserts
-it is at least 5x on the 1024-state S1 chain.
+lookups: the session has bound its procedure, and the timed updates
+are asserted to add no artifact-store lookups.  The ratio is the
+engine's reason to exist; the suite asserts it is at least 5x on the
+1024-state S1 chain.
 """
 
 import time
@@ -39,6 +41,10 @@ def build_system(chain, engine):
     system.register_view(projection_view(chain, ("A", "B", "D")))
     system.build_component_algebra(chain.all_component_views())
     return system
+
+
+def procedure_hits(engine):
+    return engine.stats()["artifacts"]["memory"]["procedure"]["hits"]
 
 
 def request_for(chain, system):
@@ -78,15 +84,18 @@ def test_s7_warm_session_update(benchmark):
     chain = make_chain()
     benchmark.extra_info["ldb"] = chain.state_count()
     benchmark.extra_info["kernel"] = kernel_mode()
-    system = build_system(chain, Engine())
+    engine = Engine()
+    system = build_system(chain, engine)
     state, target = request_for(chain, system)
-    system.update("Γ_ABD", state, target)  # compile the procedure
+    system.update("Γ_ABD", state, target)  # compile and bind the procedure
+    hits = procedure_hits(engine)
 
     def kernel():
         return system.session.update("Γ_ABD", state, target)
 
     outcome = benchmark(kernel)
     assert outcome.accepted
+    assert procedure_hits(engine) == hits, "a warm update hit the store"
 
 
 def test_s7_warm_session_speedup():
@@ -94,11 +103,13 @@ def test_s7_warm_session_speedup():
     chain = make_chain()
 
     started = time.perf_counter()
-    system = build_system(chain, Engine())
+    engine = Engine()
+    system = build_system(chain, engine)
     state, target = request_for(chain, system)
     first = system.session.update("Γ_ABD", state, target)
     cold_seconds = time.perf_counter() - started
     assert first.accepted
+    hits = procedure_hits(engine)
 
     rounds = 20
     started = time.perf_counter()
@@ -106,6 +117,7 @@ def test_s7_warm_session_speedup():
         outcome = system.session.update("Γ_ABD", state, target)
     warm_seconds = (time.perf_counter() - started) / rounds
     assert outcome.accepted
+    assert procedure_hits(engine) == hits, "a warm update hit the store"
 
     speedup = cold_seconds / warm_seconds
     assert speedup >= MIN_SPEEDUP, (

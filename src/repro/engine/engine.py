@@ -525,6 +525,13 @@ class Session:
         self._space = space
         self._views: Dict[str, View] = {}
         self._algebra: Optional[ComponentAlgebra] = None
+        #: Bound procedures by ``(view name, kernel mode)``, with the
+        #: store generation they were fetched under; replaced, never
+        #: cleared in place (see :meth:`procedure_for`).
+        self._bound: Tuple[int, Dict[Tuple[str, str], UpdateProcedure]] = (
+            engine.store.generation,
+            {},
+        )
 
     # -- the state space (built lazily through the engine) -----------------------
 
@@ -546,6 +553,7 @@ class Session:
                 f"view {view.name!r} is over a different base schema"
             )
         self._views[view.name] = view
+        self._unbind()
         return view
 
     def view(self, name: str) -> View:
@@ -572,8 +580,10 @@ class Session:
         Registered views are automatically included as candidates.
         """
         all_candidates = tuple(candidates) + tuple(self._views.values())
-        self._algebra = self.engine.algebra(self.space, all_candidates)
-        return self._algebra
+        algebra = self.engine.algebra(self.space, all_candidates)
+        self._algebra = algebra
+        self._unbind()
+        return algebra
 
     @property
     def component_algebra(self) -> ComponentAlgebra:
@@ -587,10 +597,37 @@ class Session:
     # -- update servicing --------------------------------------------------------
 
     def procedure_for(self, view_name: str) -> UpdateProcedure:
-        """The canonical update procedure for a registered view."""
-        return self.engine.procedure(
-            self.view(view_name), self.component_algebra
-        )
+        """The canonical update procedure for a registered view.
+
+        The first call per view and kernel mode fetches it from
+        :meth:`Engine.procedure` and binds it to the session; later
+        calls return the bound procedure without touching the store.
+        :meth:`register_view` and :meth:`build_component_algebra`
+        unbind every procedure, and so does any store invalidation
+        (:meth:`Engine.invalidate_space`).  A procedure fetched while
+        an invalidation ran is returned but not bound.
+        """
+        generation = self.engine.store.generation
+        bound_generation, bound = self._bound
+        if bound_generation != generation:
+            bound = {}
+            self._bound = (generation, bound)
+        key = (view_name, kernel_mode())
+        procedure = bound.get(key)
+        if procedure is None:
+            # The map is read before the view and the algebra: an unbind
+            # replaces it after they change, so a procedure built from
+            # the old ones lands only in a map no later lookup reads.
+            procedure = self.engine.procedure(
+                self.view(view_name), self.component_algebra
+            )
+            if self.engine.store.generation == generation:
+                bound[key] = procedure
+        return procedure
+
+    def _unbind(self) -> None:
+        """Drop every bound procedure (the views or the algebra changed)."""
+        self._bound = (self.engine.store.generation, {})
 
     def update(
         self,

@@ -190,6 +190,8 @@ class ArtifactStore:
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False
     )
+    #: Bumped by every :meth:`invalidate`; see :attr:`generation`.
+    _generation: int = field(default=0, repr=False)
     #: Configured backends that failed to open (0 or 1; breaker-style
     #: typed warning counter surfaced in ``stats()["backend"]``).
     _backend_open_failures: int = field(default=0, repr=False)
@@ -407,6 +409,19 @@ class ArtifactStore:
 
     # -- invalidation ------------------------------------------------------------
 
+    @property
+    def generation(self) -> int:
+        """How many :meth:`invalidate` calls this store has run.
+
+        A caller that keeps artifacts past the lookup (a session's bound
+        procedures) records the generation it fetched them under and
+        drops them once it changes.  The bump happens under the store
+        lock together with the cascade, so a lookup that reads the same
+        generation before and after it ran cannot have returned an
+        artifact that an invalidation has since dropped.
+        """
+        return self._generation
+
     def invalidate(self, key: ArtifactKey) -> int:
         """Drop *key* and everything derived from it; return the count.
 
@@ -415,9 +430,11 @@ class ArtifactStore:
         resurrect from the backend after its inputs were invalidated.
         The store lock is held across the whole cascade walk, so a
         racing build cannot re-insert a dependent mid-invalidation and
-        leave the dependency maps half-torn.
+        leave the dependency maps half-torn.  Every call bumps
+        :attr:`generation`, whatever it dropped.
         """
         with self._lock:
+            self._generation += 1
             dropped = 0
             frontier = [key]
             while frontier:

@@ -30,7 +30,9 @@ repro.serving``) with the threaded load generator (``--clients``,
 prints the JSON :class:`~repro.serving.client.LoadReport`.
 
 Any other ``--`` argument is rejected with exit status 2, as an unknown
-experiment id is, rather than silently dropped.
+experiment id is, rather than silently dropped; so is a numeric flag
+whose value is not a number (``--workers=x``), naming the flag and the
+type it takes.
 """
 
 from __future__ import annotations
@@ -148,6 +150,16 @@ def _unknown_flags(argv: list[str]) -> list[str]:
     return unknown
 
 
+#: The flags whose value is a number: its type, and how to name it.
+_NUMERIC_FLAGS: dict[str, tuple[type[int] | type[float], str]] = {
+    "deadline": (float, "a number of milliseconds"),
+    "workers": (int, "an integer"),
+    "port": (int, "an integer"),
+    "clients": (int, "an integer"),
+    "duration": (float, "a number of seconds"),
+}
+
+
 def _flag_value(argv: list[str], name: str) -> str | None:
     prefix = f"--{name}="
     for arg in argv:
@@ -156,35 +168,39 @@ def _flag_value(argv: list[str], name: str) -> str | None:
     return None
 
 
-def _deadline_ms(argv: list[str]) -> float | None:
-    raw = _flag_value(argv, "deadline")
-    return None if raw is None else float(raw)
+def _numbers(argv: list[str]) -> tuple[dict[str, float], list[str]]:
+    """The numeric flags given, converted, and one complaint for each
+    value that does not convert (the flag and the type it takes)."""
+    values: dict[str, float] = {}
+    malformed: list[str] = []
+    for name, (kind, expected) in _NUMERIC_FLAGS.items():
+        raw = _flag_value(argv, name)
+        if raw is None:
+            continue
+        try:
+            values[name] = kind(raw)
+        except ValueError:
+            malformed.append(f"--{name}={raw} (expected {expected})")
+    return values, malformed
 
 
-def _workers(argv: list[str]) -> int:
-    raw = _flag_value(argv, "workers")
-    return 1 if raw is None else max(1, int(raw))
-
-
-def _load_gen(argv: list[str]) -> int:
+def _load_gen(argv: list[str], numbers: dict[str, float]) -> int:
     """Drive a running update server and print the load report."""
     import json
 
     from repro.serving.client import run_load
     from repro.serving.service import chain_service
 
-    port_raw = _flag_value(argv, "port")
-    if port_raw is None:
+    if "port" not in numbers:
         print("--load-gen requires --port=<running server's port>")
         return 2
-    deadline_ms = _deadline_ms(argv)
     report = run_load(
         _flag_value(argv, "host") or "127.0.0.1",
-        int(port_raw),
+        int(numbers["port"]),
         chain_service().sample_requests,
-        clients=int(_flag_value(argv, "clients") or "4"),
-        duration_s=float(_flag_value(argv, "duration") or "3.0"),
-        deadline_ms=deadline_ms,
+        clients=int(numbers.get("clients", 4)),
+        duration_s=numbers.get("duration", 3.0),
+        deadline_ms=numbers.get("deadline"),
     )
     print(json.dumps(report.as_dict(), indent=2))
     return 0 if report.other_errors == 0 else 1
@@ -208,12 +224,16 @@ def main(argv: list[str]) -> int:
         print(f"unknown flag(s): {', '.join(unknown_flags)}")
         print(f"known flags: {', '.join(_FLAGS)}")
         return 2
+    numbers, malformed = _numbers(argv)
+    if malformed:
+        print(f"malformed flag value(s): {', '.join(malformed)}")
+        return 2
     if "--load-gen" in argv:
-        return _load_gen(argv)
+        return _load_gen(argv, numbers)
     markdown = "--markdown" in argv
     show_stats = "--stats" in argv
-    deadline_ms = _deadline_ms(argv)
-    workers = _workers(argv)
+    deadline_ms = numbers.get("deadline")
+    workers = max(1, int(numbers.get("workers", 1)))
     requested = [a for a in argv if not a.startswith("--")] or list(
         ALL_EXPERIMENTS
     )

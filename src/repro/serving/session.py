@@ -87,11 +87,13 @@ class AsyncSession:
     ) -> None:
         """Compile space + algebra + procedures; bind the session.
 
-        Everything expensive happens off-loop; after a warm-up the
-        per-request path is a cache hit plus one ``procedure.apply``.
-        The state space comes from the spec's closed-form generator
-        when one was given (``Engine.space_from``) -- enumeration is
-        infeasible at serving scale.
+        Everything expensive happens off-loop.  Warm-up binds each
+        view's procedure to the session, so after it the per-request
+        path is a bound procedure plus one ``procedure.apply``, with no
+        artifact-store lookup.  The state space comes from the spec's
+        closed-form generator when one was given
+        (``Engine.space_from``) -- enumeration is infeasible at serving
+        scale.
         """
         views = tuple(views)
         candidates = tuple(candidates)

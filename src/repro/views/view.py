@@ -50,6 +50,7 @@ class View:
         "view_schema",
         "mapping",
         "_fingerprint",
+        "_content_addressed",
         "_image_cache",
         "_kernel_cache",
         "_preimage_cache",
@@ -76,6 +77,7 @@ class View:
         self.view_schema = view_schema
         self.mapping = mapping
         self._fingerprint: Optional[str] = None
+        self._content_addressed: Optional[bool] = None
         self._image_cache: Dict[int, Tuple[DatabaseInstance, ...]] = {}
         self._kernel_cache: Dict[int, Partition] = {}
         self._preimage_cache: Dict[int, Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]] = {}
@@ -104,15 +106,26 @@ class View:
 
     @property
     def is_content_addressed(self) -> bool:
-        """True iff the fingerprint is stable across processes."""
-        return fingerprint_is_content_addressed(self.mapping)
+        """True iff the fingerprint is stable across processes (memoized).
+
+        Deciding it walks the mapping's query trees, and the engine asks
+        on every artifact lookup, hits included; a view's mapping never
+        changes, so the answer is computed once per view object.
+        """
+        if self._content_addressed is None:
+            self._content_addressed = fingerprint_is_content_addressed(
+                self.mapping
+            )
+        return self._content_addressed
 
     # -- pickling ----------------------------------------------------------------
     #
     # Per-space caches are keyed by ``id(space)``; after unpickling in a
     # different process those ids could collide with unrelated spaces, so
-    # the caches are dropped.  The memoized fingerprint is dropped too:
-    # transient fingerprints are only meaningful in-process.
+    # the caches are dropped.  The memoized fingerprint and
+    # content-addressing flag are dropped too: transient fingerprints are
+    # only meaningful in-process.  Neither memo is pickled, so a pickle
+    # does not depend on which of them were computed.
 
     def __getstate__(self):
         return (self.name, self.base_schema, self.view_schema, self.mapping)
@@ -124,6 +137,7 @@ class View:
         self.view_schema = view_schema
         self.mapping = mapping
         self._fingerprint = None
+        self._content_addressed = None
         self._image_cache = {}
         self._kernel_cache = {}
         self._preimage_cache = {}

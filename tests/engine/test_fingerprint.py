@@ -1,7 +1,10 @@
 """Unit tests for :mod:`repro.engine.fingerprint`."""
 
+import pickle
+
 import pytest
 
+from repro.engine.engine import Engine
 from repro.engine.fingerprint import (
     FingerprintError,
     canonical_token,
@@ -11,9 +14,15 @@ from repro.engine.fingerprint import (
     stable_fingerprint,
     transient_token,
 )
+from repro.engine.store import ArtifactStore
 from repro.relational.constraints import FunctionalDependency
+from repro.relational.instances import DatabaseInstance
+from repro.relational.queries import RelationRef, Select
 from repro.relational.schema import RelationSchema, Schema
+from repro.resilience.faults import inject
 from repro.typealgebra.assignment import TypeAssignment
+from repro.views.mappings import FunctionMapping, QueryMapping
+from repro.views.view import View
 
 
 def unary_schema(name="D"):
@@ -93,3 +102,95 @@ class TestTransientTokens:
     def test_content_addressed_default_true(self):
         assert is_content_addressed(unary_schema())
         assert is_content_addressed(object())
+
+
+class TestViewContentAddressing:
+    """``View.is_content_addressed`` walks the mapping's query trees
+    once per view object; the engine's hit paths ask it every time."""
+
+    @pytest.fixture
+    def universe(self, tmp_path):
+        schema = unary_schema()
+        assignment = TypeAssignment.from_names(
+            {"A": ("a1", "a2"), "B": ("a1", "a2")}
+        )
+        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        with inject(None):
+            yield schema, assignment, engine
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return contains_transient(obj)
+
+        monkeypatch.setattr(
+            "repro.views.mappings.contains_transient", counting
+        )
+        return calls
+
+    @staticmethod
+    def query_view(schema, name, relation):
+        return View(
+            name,
+            schema,
+            None,
+            QueryMapping({relation: RelationRef.of(schema, relation)}),
+        )
+
+    def test_engine_hits_walk_once_per_view(self, universe, walks):
+        schema, assignment, engine = universe
+        gamma_r = self.query_view(schema, "Γr", "R")
+        gamma_s = self.query_view(schema, "Γs", "S")
+        space = engine.space(schema, assignment)
+        algebra = engine.algebra(space, (gamma_r, gamma_s))
+        for _ in range(10):
+            procedure = engine.procedure(gamma_r, algebra)
+            engine.analysis(gamma_r, space)
+            engine.analysis(gamma_s, space)
+        assert procedure.complement.view is gamma_s
+        views = {id(v): v for v in (gamma_r, gamma_s)}
+        views.update((id(c.view), c.view) for c in algebra)
+        walked = [
+            v for v in views.values() if isinstance(v.mapping, QueryMapping)
+        ]
+        assert len(walked) == 2
+        assert len(walks) == len(walked)
+
+    def test_unpickled_view_walks_again(self, walks):
+        view = self.query_view(unary_schema(), "Γr", "R")
+        before = pickle.dumps(view)
+        assert view.is_content_addressed
+        assert view.is_content_addressed
+        assert len(walks) == 1
+        assert pickle.dumps(view) == before
+        clone = pickle.loads(before)
+        assert clone.is_content_addressed
+        assert len(walks) == 2
+
+    def test_transient_views_still_persist_nothing(self, universe, tmp_path):
+        schema, assignment, engine = universe
+        copy_rows = FunctionMapping(
+            lambda state, _: DatabaseInstance({"R": state.relation("R")}),
+            {"R": 1},
+        )
+        some_rows = Select(
+            RelationRef.of(schema, "R"), lambda a: a != "a1", ("A",)
+        )
+        copy_r = View("Γf", schema, None, copy_rows)
+        some_r = View("Γσ", schema, None, QueryMapping({"R": some_rows}))
+        gamma_s = self.query_view(schema, "Γs", "S")
+        space = engine.space(schema, assignment)
+        for view in (copy_r, some_r):
+            for _ in range(2):
+                assert not view.is_content_addressed
+                engine.analysis(view, space)
+                engine.preimage_index(view, space)
+        algebra = engine.algebra(space, (copy_r, gamma_s))
+        engine.procedure(copy_r, algebra)
+        persisted = sorted(
+            path.name.split("-")[0] for path in tmp_path.glob("*.pkl")
+        )
+        assert persisted == ["space"]

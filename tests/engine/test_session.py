@@ -1,12 +1,15 @@
 """Unit tests for :class:`repro.engine.engine.Engine` and its sessions."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.engine.backends.sqlitedb import SQLiteBackend
 from repro.engine.engine import Engine, current_engine, default_engine
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import BackendConfigError, ReproError, UpdateRejected
-from repro.kernel.config import kernel_mode
+from repro.kernel.config import BULK, NAIVE, kernel_mode, use_kernel
 from repro.resilience.faults import inject
 from repro.typealgebra.algebra import NULL
 from repro.decomposition.projections import projection_view
@@ -222,3 +225,154 @@ class TestUpdateOutcome:
         assert second.procedure_for("Γ_ABD") is first
         counters = engine.stats()["artifacts"]["memory"]["procedure"]
         assert counters["hits"] == hits_before + 1
+
+
+class TestBoundProcedures:
+    """A session binds each procedure on first use and never serves a
+    stale one: every case below changes what the procedure is derived
+    from and checks that the next lookup follows the change.
+
+    Each test owns its engine, on its own cache directory, and runs
+    with the ambient fault plan suspended, so the counters are exact.
+    """
+
+    @pytest.fixture
+    def fresh(self, tmp_path, small_chain):
+        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        with inject(None):
+            space = engine.space_from(small_chain)
+            session = engine.session(
+                small_chain.schema, small_chain.assignment, space
+            )
+            session.register_view(
+                projection_view(small_chain, ("A", "B", "D"))
+            )
+            session.build_component_algebra(small_chain.all_component_views())
+            yield engine, session
+
+    @staticmethod
+    def _memory(engine, kind="procedure"):
+        return engine.stats()["artifacts"]["memory"][kind]
+
+    @staticmethod
+    def _request(session, small_chain):
+        state = small_chain.state_from_edges(
+            [{("a1", "b1")}, set(), {("c1", "d1")}]
+        )
+        view_state = session.view("Γ_ABD").apply(state, small_chain.assignment)
+        return state, view_state.deleting("R_ABD", ("a1", "b1", NULL))
+
+    def test_bound_lookups_skip_the_store(self, fresh, small_chain):
+        engine, session = fresh
+        first = session.procedure_for("Γ_ABD")
+        before = dict(self._memory(engine))
+        state, target = self._request(session, small_chain)
+        for _ in range(5):
+            assert session.procedure_for("Γ_ABD") is first
+            assert session.update("Γ_ABD", state, target).accepted
+        assert self._memory(engine) == before
+
+    def test_lookup_errors_are_unchanged(self, fresh, small_chain):
+        engine, session = fresh
+        session.procedure_for("Γ_ABD")
+        with pytest.raises(ReproError, match="no view named"):
+            session.procedure_for("nope")
+        unbuilt = engine.session(
+            small_chain.schema, small_chain.assignment, session.space
+        )
+        unbuilt.register_view(session.view("Γ_ABD"))
+        with pytest.raises(ReproError, match="not built"):
+            unbuilt.procedure_for("Γ_ABD")
+
+    def test_rebuilt_algebra_unbinds(self, fresh, small_chain):
+        engine, session = fresh
+        first = session.procedure_for("Γ_ABD")
+        smaller = session.build_component_algebra(
+            (
+                small_chain.component_view([0]),
+                small_chain.component_view([1, 2]),
+            )
+        )
+        assert len(smaller) == 4
+        second = session.procedure_for("Γ_ABD")
+        assert second is not first
+        assert second is engine.procedure(session.view("Γ_ABD"), smaller)
+
+    def test_replaced_view_unbinds(self, fresh, small_chain):
+        _, session = fresh
+        first = session.procedure_for("Γ_ABD")
+        replacement = small_chain.component_view([0], name="Γ_ABD")
+        session.register_view(replacement)
+        second = session.procedure_for("Γ_ABD")
+        assert first.view is not replacement
+        assert second.view is replacement
+
+    def test_invalidate_space_unbinds(self, fresh):
+        engine, session = fresh
+        first = session.procedure_for("Γ_ABD")
+        builds = self._memory(engine)["builds"]
+        generation = engine.store.generation
+        engine.invalidate_space(session.space)
+        assert engine.store.generation == generation + 1
+        second = session.procedure_for("Γ_ABD")
+        assert second is not first
+        assert self._memory(engine)["builds"] == builds + 1
+        assert session.procedure_for("Γ_ABD") is second
+
+    def test_kernel_mode_is_part_of_the_binding(self, fresh):
+        engine, session = fresh
+        with use_kernel(BULK):
+            bulk = session.procedure_for("Γ_ABD")
+        with use_kernel(NAIVE):
+            naive = session.procedure_for("Γ_ABD")
+            assert naive is engine.procedure(
+                session.view("Γ_ABD"), session.component_algebra
+            )
+        assert naive is not bulk
+        with use_kernel(BULK):
+            assert session.procedure_for("Γ_ABD") is bulk
+
+    def test_invalidation_racing_updates(self, fresh, small_chain):
+        """One thread invalidates while others update: after each
+        invalidation returns, no lookup serves the procedure bound
+        before it, and every update keeps its serial outcome."""
+        engine, session = fresh
+        state, target = self._request(session, small_chain)
+        expected = session.update("Γ_ABD", state, target).base_after
+        retired = {}  # id(procedure) -> first generation it is stale in
+        keep = []  # retired procedures stay alive, so ids stay unique
+        stop = threading.Event()
+        errors = []
+
+        def updater():
+            try:
+                while not stop.is_set():
+                    generation = engine.store.generation
+                    procedure = session.procedure_for("Γ_ABD")
+                    stale_from = retired.get(id(procedure))
+                    assert stale_from is None or stale_from > generation
+                    outcome = session.update("Γ_ABD", state, target)
+                    assert outcome.base_after == expected
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+                stop.set()
+
+        threads = [threading.Thread(target=updater) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(15):
+                old = session.procedure_for("Γ_ABD")
+                keep.append(old)
+                retired[id(old)] = engine.store.generation + 1
+                engine.invalidate_space(session.space)
+                assert session.procedure_for("Γ_ABD") is not old
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors

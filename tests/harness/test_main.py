@@ -46,3 +46,32 @@ class TestMain:
         assert f"unknown flag(s): {flag}" in captured
         assert "--stats" in captured
         assert "[E1]" not in captured
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--workers=x", "E1"], "--workers=x (expected an integer)"),
+            (["--workers=", "E1"], "--workers= (expected an integer)"),
+            (
+                ["--deadline=soon", "E1"],
+                "--deadline=soon (expected a number of milliseconds)",
+            ),
+            (
+                ["--load-gen", "--port=http"],
+                "--port=http (expected an integer)",
+            ),
+            (
+                ["--load-gen", "--port=1", "--clients=many"],
+                "--clients=many (expected an integer)",
+            ),
+            (
+                ["--load-gen", "--port=1", "--duration=long"],
+                "--duration=long (expected a number of seconds)",
+            ),
+        ],
+    )
+    def test_malformed_flag_value_rejected(self, capsys, argv, expected):
+        assert main(argv) == 2
+        captured = capsys.readouterr().out
+        assert f"malformed flag value(s): {expected}" in captured
+        assert "[E1]" not in captured
