@@ -120,33 +120,14 @@ def create_backend(
     )
 
 
-def resolve_backend(
-    cache_dir: Optional[str] = None,
-    io_attempts: int = 3,
-    io_backoff: float = 0.01,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Optional[ArtifactBackend]:
-    """The backend the configuration asks for, or ``None`` (memory-only).
+def resolve_backend() -> Optional[ArtifactBackend]:
+    """The backend ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL`` ask for,
+    or ``None`` (memory-only) when no backend is named.
 
-    Precedence: an explicit *cache_dir* (constructor argument) wins and
-    means a local-dir backend -- tests and callers that pin a directory
-    stay hermetic under any ambient environment -- then
-    ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``.
+    Callers that pin persistence -- tests staying hermetic under any
+    ambient environment -- pass a backend instead.
     """
-    if cache_dir:
-        return LocalDirBackend(
-            cache_dir,
-            io_attempts=io_attempts,
-            io_backoff=io_backoff,
-            sleep=sleep,
-        )
     name = os.environ.get(STORE_BACKEND_ENV_VAR)
     if name is None or not name.strip():
         return None
-    return create_backend(
-        name,
-        os.environ.get(STORE_URL_ENV_VAR, ""),
-        io_attempts=io_attempts,
-        io_backoff=io_backoff,
-        sleep=sleep,
-    )
+    return create_backend(name, os.environ.get(STORE_URL_ENV_VAR, ""))

@@ -7,13 +7,15 @@ library derives expensive structure from declarative inputs:
   ``LDB(D, mu)`` (enumerated or generator-built);
 * :meth:`Engine.poset` -- its ⊥-poset;
 * :meth:`Engine.analysis` -- a view's strong analysis (§2.3);
-* :meth:`Engine.preimage_index` -- a view's tabulated inverse;
 * :meth:`Engine.algebra` -- the component algebra of Theorem 2.3.4;
 * :meth:`Engine.procedure` -- Update Procedure 3.2.3 instances.
 
-Each derivation is memoized in an :class:`~repro.engine.store.ArtifactStore`
-keyed by input fingerprints and the active kernel mode, so equal inputs
--- even independently constructed ones -- share one artifact.
+Each derivation but the poset is memoized in an
+:class:`~repro.engine.store.ArtifactStore` keyed by input fingerprints
+and the active kernel mode, so equal inputs -- even independently
+constructed ones -- share one artifact.  The poset, like every
+per-view table, is memoized on the space itself, and equal spaces are
+one object once the store has anchored them.
 
 :meth:`Engine.session` returns a :class:`Session`: the stateful handle
 application code drives (register views, build the algebra, service
@@ -330,14 +332,13 @@ class Engine:
     # -- derived artifacts -------------------------------------------------------
 
     def poset(self, space: StateSpace) -> FinitePoset:
-        """The space's ⊥-poset (memoized across equal spaces)."""
-        space_key = self._space_key(space)
-        key = ArtifactKey("poset", space_key.fingerprint, space_key.kernel)
-        return self.store.get_or_build(
-            key,
-            self._resilient("poset", key.fingerprint, lambda: space.poset),
-            dependencies=(space_key,),
-        )
+        """The space's ⊥-poset, built through the resilience wrapper.
+
+        The space memoizes its own poset, so this adds no store entry.
+        """
+        return self._resilient(
+            "poset", space.fingerprint(), lambda: space.poset
+        )()
 
     def analysis(self, view: View, space: StateSpace) -> StrongViewAnalysis:
         """The view's strong analysis over *space* (Definition 2.2/§2.3)."""
@@ -348,22 +349,6 @@ class Engine:
                 "analysis",
                 key.fingerprint,
                 lambda: analyze_view(view, space),
-            ),
-            dependencies=(self._space_key(space),),
-            persist=is_content_addressed(view),
-        )
-
-    def preimage_index(
-        self, view: View, space: StateSpace
-    ) -> Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]:
-        """The view's full fibre index over *space* (memoized)."""
-        key = self._key("preimages", view, space)
-        return self.store.get_or_build(
-            key,
-            self._resilient(
-                "preimages",
-                key.fingerprint,
-                lambda: view.preimage_index(space),
             ),
             dependencies=(self._space_key(space),),
             persist=is_content_addressed(view),

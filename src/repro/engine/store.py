@@ -1,20 +1,19 @@
 """The content-addressed artifact store behind the engine facade.
 
-Every derived structure the library computes -- state spaces, ⊥-posets,
-strong analyses, preimage indexes, component algebras, update
-procedures -- is an *artifact*: a pure function of fingerprintable
-inputs plus the active kernel mode.  :class:`ArtifactStore` memoizes
-them under :class:`ArtifactKey`\\ s with
+Every structure the engine derives -- state spaces, strong analyses,
+component algebras, update procedures -- is an *artifact*: a pure
+function of fingerprintable inputs plus the active kernel mode.
+:class:`ArtifactStore` memoizes them under :class:`ArtifactKey`\\ s with
 
 * an in-memory LRU (bounded by ``max_entries``),
 * an optional **persistence backend**
-  (:mod:`repro.engine.backends`) -- any :class:`ArtifactBackend`
-  selected via ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``, named by
-  an explicit ``cache_dir``, or passed explicitly -- used only for
+  (:mod:`repro.engine.backends`) -- any :class:`ArtifactBackend`,
+  passed explicitly or selected via
+  ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL`` -- used only for
   artifacts whose inputs are content-addressed,
-* dependency-aware invalidation (dropping a space drops the posets,
-  analyses, algebras, and procedures derived from it -- in memory *and*
-  in the backend, so stale artifacts cannot resurrect), and
+* dependency-aware invalidation (dropping a space drops the analyses,
+  algebras, and procedures derived from it -- in memory *and* in the
+  backend, so stale artifacts cannot resurrect), and
 * per-kind counters (hits, misses, builds, corrupt entries, I/O
   retries, degradations, deadline hits, coalesced builds, lease
   contention) for the harness' ``--stats`` report.
@@ -161,18 +160,10 @@ class ArtifactStore:
     """LRU + pluggable persistence backend, keyed by fingerprints."""
 
     max_entries: int = 256
-    #: A local-dir backend at this directory; an explicit value here
-    #: pins persistence to it regardless of the ``REPRO_STORE_BACKEND``
-    #: environment (hermeticity for tests and embedding callers).
-    #: ``backend`` wins over both.
-    cache_dir: Optional[str] = None
-    #: Bounded retry for transient I/O errors on backend load/save.
-    io_attempts: int = 3
-    #: Base backoff (seconds) between attempts; doubles per retry.  The
-    #: cross-process lease reuses the same base for its waits.
-    io_backoff: float = 0.01
-    #: The persistence tier; ``None`` resolves from ``cache_dir`` and
-    #: the environment (and stays ``None`` for memory-only stores).
+    #: The persistence tier, with its own retry and backoff settings;
+    #: ``None`` resolves from the environment (and stays ``None`` for
+    #: memory-only stores).  An explicit backend pins persistence to it
+    #: whatever the environment says.
     backend: Optional[ArtifactBackend] = None
     _entries: "OrderedDict[ArtifactKey, _Entry]" = field(
         default_factory=OrderedDict, repr=False
@@ -197,26 +188,15 @@ class ArtifactStore:
     _backend_open_failures: int = field(default=0, repr=False)
     _backend_open_error: str = field(default="", repr=False)
 
-    #: Injectable for tests; module-level so backoff is patchable.
-    _sleep = staticmethod(time.sleep)
-
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             # reprolint: disable=RL001 -- argument validation on the public capacity knob; stdlib idiom
             raise ValueError("max_entries must be positive")
-        if self.io_attempts < 1:
-            # reprolint: disable=RL001 -- argument validation on the public capacity knob; stdlib idiom
-            raise ValueError("io_attempts must be positive")
         if self.backend is None:
             # May raise BackendConfigError -- eagerly, on purpose: a
             # typo'd selection knob must not silently disable
             # persistence.
-            self.backend = resolve_backend(
-                cache_dir=self.cache_dir,
-                io_attempts=self.io_attempts,
-                io_backoff=self.io_backoff,
-                sleep=self._sleep,
-            )
+            self.backend = resolve_backend()
         if self.backend is not None:
             self._open_backend()
 

@@ -32,7 +32,10 @@ prints the JSON :class:`~repro.serving.client.LoadReport`.
 Any other ``--`` argument is rejected with exit status 2, as an unknown
 experiment id is, rather than silently dropped; so is a numeric flag
 whose value is not a number (``--workers=x``), naming the flag and the
-type it takes.
+type it takes, or lies outside its range (``--clients=0``), naming the
+flag and the range: ``--workers`` and ``--clients`` take at least 1,
+``--deadline`` at least 0, ``--duration`` more than 0, ``--port`` 1 to
+65535.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 from repro.engine.backends import create_backend
 from repro.engine.engine import Engine
-from repro.errors import BackendConfigError, DeadlineExceededError
+from repro.errors import BackendConfigError, DeadlineExceededError, ReproError
 from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
 
 
@@ -150,13 +154,19 @@ def _unknown_flags(argv: list[str]) -> list[str]:
     return unknown
 
 
-#: The flags whose value is a number: its type, and how to name it.
-_NUMERIC_FLAGS: dict[str, tuple[type[int] | type[float], str]] = {
-    "deadline": (float, "a number of milliseconds"),
-    "workers": (int, "an integer"),
-    "port": (int, "an integer"),
-    "clients": (int, "an integer"),
-    "duration": (float, "a number of seconds"),
+#: The flags whose value is a number: its type and how to name it, then
+#: a test of the values it admits and how to name them.
+_NUMERIC_FLAGS: dict[str, tuple[type, str, Callable[[float], bool], str]] = {
+    "deadline": (
+        float,
+        "a number of milliseconds",
+        lambda v: v >= 0,
+        "at least 0",
+    ),
+    "workers": (int, "an integer", lambda v: v >= 1, "at least 1"),
+    "port": (int, "an integer", lambda v: 1 <= v <= 65535, "1 to 65535"),
+    "clients": (int, "an integer", lambda v: v >= 1, "at least 1"),
+    "duration": (float, "a number of seconds", lambda v: v > 0, "above 0"),
 }
 
 
@@ -170,17 +180,23 @@ def _flag_value(argv: list[str], name: str) -> str | None:
 
 def _numbers(argv: list[str]) -> tuple[dict[str, float], list[str]]:
     """The numeric flags given, converted, and one complaint for each
-    value that does not convert (the flag and the type it takes)."""
+    value that does not convert (the flag and the type it takes) or
+    lies outside the flag's range (the flag and the range)."""
     values: dict[str, float] = {}
     malformed: list[str] = []
-    for name, (kind, expected) in _NUMERIC_FLAGS.items():
+    for name, (kind, expected, admits, bounds) in _NUMERIC_FLAGS.items():
         raw = _flag_value(argv, name)
         if raw is None:
             continue
         try:
-            values[name] = kind(raw)
+            value = kind(raw)
         except ValueError:
             malformed.append(f"--{name}={raw} (expected {expected})")
+            continue
+        if admits(value):
+            values[name] = value
+        else:
+            malformed.append(f"--{name}={raw} (expected {bounds})")
     return values, malformed
 
 
@@ -194,14 +210,18 @@ def _load_gen(argv: list[str], numbers: dict[str, float]) -> int:
     if "port" not in numbers:
         print("--load-gen requires --port=<running server's port>")
         return 2
-    report = run_load(
-        _flag_value(argv, "host") or "127.0.0.1",
-        int(numbers["port"]),
-        chain_service().sample_requests,
-        clients=int(numbers.get("clients", 4)),
-        duration_s=numbers.get("duration", 3.0),
-        deadline_ms=numbers.get("deadline"),
-    )
+    try:
+        report = run_load(
+            _flag_value(argv, "host") or "127.0.0.1",
+            int(numbers["port"]),
+            chain_service().sample_requests,
+            clients=int(numbers.get("clients", 4)),
+            duration_s=numbers.get("duration", 3.0),
+            deadline_ms=numbers.get("deadline"),
+        )
+    except ReproError as exc:
+        print(f"load generator failed: {exc}")
+        return 1
     print(json.dumps(report.as_dict(), indent=2))
     return 0 if report.other_errors == 0 else 1
 
@@ -233,7 +253,7 @@ def main(argv: list[str]) -> int:
     markdown = "--markdown" in argv
     show_stats = "--stats" in argv
     deadline_ms = numbers.get("deadline")
-    workers = max(1, int(numbers.get("workers", 1)))
+    workers = int(numbers.get("workers", 1))
     requested = [a for a in argv if not a.startswith("--")] or list(
         ALL_EXPERIMENTS
     )

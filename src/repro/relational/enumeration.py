@@ -24,7 +24,19 @@ A ``max_candidates`` budget guards against accidental blow-up.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.engine.fingerprint import stable_fingerprint
 from repro.errors import (
@@ -51,6 +63,8 @@ from repro.relational.schema import Schema
 from repro.resilience.faults import current_plan
 from repro.resilience.guard import current_guard
 from repro.typealgebra.assignment import TypeAssignment
+
+_T = TypeVar("_T")
 
 
 def constraint_relations(constraint: Constraint) -> Optional[FrozenSet[str]]:
@@ -230,7 +244,8 @@ class StateSpace:
     Construct via :meth:`enumerate` (generic, powerset-based) or
     :meth:`from_states` (caller-supplied states, e.g. from a closed-form
     generator).  States are kept in a deterministic order; the poset is
-    built lazily on first use.
+    built lazily on first use, and so is every table memoized through
+    :meth:`derived`.
     """
 
     __slots__ = (
@@ -242,6 +257,7 @@ class StateSpace:
         "_codec",
         "_masks",
         "_fingerprint",
+        "_derived",
     )
 
     def __init__(
@@ -264,6 +280,7 @@ class StateSpace:
         self._codec: Optional[TupleCodec] = None
         self._masks: Optional[Tuple[int, ...]] = None
         self._fingerprint: Optional[str] = None
+        self._derived: Dict[Hashable, Any] = {}
 
     @classmethod
     def enumerate(
@@ -391,6 +408,23 @@ class StateSpace:
             return intersection
         return self.poset.meet(a, b)
 
+    # -- tables derived from the states --------------------------------------------
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The value memoized on this space under *key*, built on first use.
+
+        The per-view tables -- a view's image, kernel and fibres (see
+        :class:`~repro.views.view.View`) -- live here under keys their
+        owner chooses, so they are freed with the space and never
+        pickled with it.  *build* must not return ``None``.  Concurrent
+        first uses may both build; the first value stored is the one
+        every caller gets.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, build())
+        return value
+
     # -- identity ------------------------------------------------------------------
 
     def fingerprint(self) -> str:
@@ -418,9 +452,10 @@ class StateSpace:
 
     # -- pickling ------------------------------------------------------------------
     #
-    # Lazy derived structure (poset, codec, masks) is rebuilt on demand;
-    # the memoized fingerprint is dropped because spaces over schemas
-    # with transient mappings are only fingerprintable in-process.
+    # Lazy derived structure (poset, codec, masks, the derived tables) is
+    # rebuilt on demand; the memoized fingerprint is dropped because
+    # spaces over schemas with transient mappings are only
+    # fingerprintable in-process.
 
     def __getstate__(self):
         return (self.schema, self.assignment, self._states)

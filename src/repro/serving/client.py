@@ -222,6 +222,8 @@ def run_load(
     """
     if not requests:
         raise ReproError("run_load needs at least one request to replay")
+    if clients < 1:
+        raise ReproError(f"run_load needs at least one client, got {clients}")
     wired = [
         UpdateRequest(
             view=request.view,

@@ -11,9 +11,8 @@ there?* (more than one exactly when no minimal one exists).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.engine.engine import Engine, current_engine
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance
 from repro.core.admissibility import (
@@ -53,29 +52,21 @@ class SolutionReport:
 class SolutionEnumerator:
     """Enumerate and classify all solutions of view update requests.
 
-    The full fibre index ``view state -> preimages`` comes from the
-    engine's artifact store, so enumerators over the same view and
-    space -- across strategies, experiments, sessions -- share one
-    tabulated inverse.
+    The full fibre index ``view state -> preimages`` is the view's
+    :meth:`~repro.views.view.View.preimage_index`, memoized on the
+    space, so enumerators and strategies over the same view and space
+    -- across experiments and sessions -- share one tabulated inverse.
     """
 
-    def __init__(
-        self, view: View, space: StateSpace, engine: Optional[Engine] = None
-    ):
+    def __init__(self, view: View, space: StateSpace):
         self.view = view
         self.space = space
-        self.engine = engine if engine is not None else current_engine()
-        self._fibres: Optional[
-            Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]
-        ] = None
 
     def solutions_for(
         self, target: DatabaseInstance
     ) -> Tuple[DatabaseInstance, ...]:
-        """All base states achieving *target* (engine-memoized)."""
-        if self._fibres is None:
-            self._fibres = self.engine.preimage_index(self.view, self.space)
-        return self._fibres.get(target, ())
+        """All base states achieving *target* (memoized on the space)."""
+        return self.view.preimages(self.space, target)
 
     def report(
         self, current: DatabaseInstance, target: DatabaseInstance

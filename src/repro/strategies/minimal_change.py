@@ -20,9 +20,8 @@ constant-component-complement approach.
 
 from __future__ import annotations
 
-from typing import Dict, Literal, Optional, Tuple
+from typing import Literal, Tuple
 
-from repro.engine.engine import Engine, current_engine
 from repro.errors import UpdateRejected
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance
@@ -42,30 +41,17 @@ def _deterministic_pick(current, candidates):
     )
 
 
-class _EngineBackedStrategy(UpdateStrategy):
-    """Shared plumbing: the fibre index comes from the engine's store."""
-
-    def __init__(
-        self,
-        view: View,
-        space: StateSpace,
-        engine: Optional[Engine] = None,
-    ):
-        super().__init__(view, space)
-        self.engine = engine if engine is not None else current_engine()
-        self._fibres: Optional[
-            Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]
-        ] = None
+class _FibreStrategy(UpdateStrategy):
+    """Shared plumbing: the solutions of a request are the target's fibre
+    in the view's preimage index, memoized on the space."""
 
     def solutions_for(
         self, target: DatabaseInstance
     ) -> Tuple[DatabaseInstance, ...]:
-        if self._fibres is None:
-            self._fibres = self.engine.preimage_index(self.view, self.space)
-        return self._fibres.get(target, ())
+        return self.view.preimages(self.space, target)
 
 
-class MinimalChangeStrategy(_EngineBackedStrategy):
+class MinimalChangeStrategy(_FibreStrategy):
     """Pick the minimal solution; configurable behaviour when none exists."""
 
     def __init__(
@@ -73,9 +59,8 @@ class MinimalChangeStrategy(_EngineBackedStrategy):
         view: View,
         space: StateSpace,
         tie_break: Literal["reject", "pick"] = "reject",
-        engine: Optional[Engine] = None,
     ):
-        super().__init__(view, space, engine)
+        super().__init__(view, space)
         if tie_break not in ("reject", "pick"):
             # reprolint: disable=RL001 -- argument validation of the metric name; asserted by tests/strategies/test_minimal_change.py
             raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -106,7 +91,7 @@ class MinimalChangeStrategy(_EngineBackedStrategy):
         return _deterministic_pick(state, candidates)
 
 
-class NonextraneousPickStrategy(_EngineBackedStrategy):
+class NonextraneousPickStrategy(_FibreStrategy):
     """Always return a deterministically chosen nonextraneous solution."""
 
     def apply(

@@ -1,10 +1,13 @@
-"""Views ``Gamma = (V, gamma)`` with cached per-state-space analyses.
+"""Views ``Gamma = (V, gamma)`` with per-state-space tables.
 
 A :class:`View` couples a view schema with a database mapping from a
 base schema.  All semantic questions (image, kernel, surjectivity) are
 asked relative to a :class:`~repro.relational.enumeration.StateSpace`
-of the base schema; results are cached per space, keyed by identity,
-since state spaces are immutable.
+of the base schema.  The tables they read -- the image ``gamma'``, the
+kernel ``Pi(Gamma)`` and the fibres -- are memoized on the space
+(:meth:`~repro.relational.enumeration.StateSpace.derived`) under the
+view's fingerprint and the kernel mode: equal views share one table,
+each kernel builds its own, and a table is freed with its space.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.engine.fingerprint import (
 )
 from repro.errors import NotSurjectiveError, SchemaError
 from repro.algebra.partitions import Partition
-from repro.kernel.config import bulk_enabled
+from repro.kernel.config import bulk_enabled, kernel_mode
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance, sorted_instances
 from repro.relational.schema import Schema
@@ -51,9 +54,6 @@ class View:
         "mapping",
         "_fingerprint",
         "_content_addressed",
-        "_image_cache",
-        "_kernel_cache",
-        "_preimage_cache",
     )
 
     def __init__(
@@ -78,9 +78,6 @@ class View:
         self.mapping = mapping
         self._fingerprint: Optional[str] = None
         self._content_addressed: Optional[bool] = None
-        self._image_cache: Dict[int, Tuple[DatabaseInstance, ...]] = {}
-        self._kernel_cache: Dict[int, Partition] = {}
-        self._preimage_cache: Dict[int, Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]] = {}
 
     def __repr__(self) -> str:
         return f"View({self.name!r})"
@@ -92,7 +89,7 @@ class View:
 
         Two independently constructed but equal views fingerprint
         identically and therefore share every engine artifact (strong
-        analysis, preimage index, update procedure).
+        analysis, update procedure) and every per-space table.
         """
         if self._fingerprint is None:
             self._fingerprint = stable_fingerprint(
@@ -120,12 +117,10 @@ class View:
 
     # -- pickling ----------------------------------------------------------------
     #
-    # Per-space caches are keyed by ``id(space)``; after unpickling in a
-    # different process those ids could collide with unrelated spaces, so
-    # the caches are dropped.  The memoized fingerprint and
-    # content-addressing flag are dropped too: transient fingerprints are
-    # only meaningful in-process.  Neither memo is pickled, so a pickle
-    # does not depend on which of them were computed.
+    # The memoized fingerprint and content-addressing flag are dropped:
+    # transient fingerprints are only meaningful in-process.  Neither
+    # memo is pickled, so a pickle does not depend on which of them were
+    # computed.
 
     def __getstate__(self):
         return (self.name, self.base_schema, self.view_schema, self.mapping)
@@ -138,9 +133,6 @@ class View:
         self.mapping = mapping
         self._fingerprint = None
         self._content_addressed = None
-        self._image_cache = {}
-        self._kernel_cache = {}
-        self._preimage_cache = {}
 
     # -- pointwise application --------------------------------------------------
 
@@ -162,17 +154,18 @@ class View:
         agree on the read-set slots hold identical content on every
         relation the mapping can observe, so they share one image.
         """
-        key = id(space)
-        if key not in self._image_cache:
+
+        def build() -> Tuple[DatabaseInstance, ...]:
             if bulk_enabled():
-                table = self._image_table_bulk(space)
-            else:
-                table = tuple(
-                    self.mapping.apply(state, space.assignment)
-                    for state in space.states
-                )
-            self._image_cache[key] = table
-        return self._image_cache[key]
+                return self._image_table_bulk(space)
+            return tuple(
+                self.mapping.apply(state, space.assignment)
+                for state in space.states
+            )
+
+        return space.derived(
+            ("image", self.fingerprint(), kernel_mode()), build
+        )
 
     def _image_table_bulk(
         self, space: StateSpace
@@ -295,37 +288,41 @@ class View:
 
     def kernel(self, space: StateSpace) -> Partition:
         """``Pi(Gamma) = ker(gamma')`` as a partition of the states."""
-        key = id(space)
-        if key not in self._kernel_cache:
+
+        def build() -> Partition:
             table = self.image_table(space)
-            self._kernel_cache[key] = Partition.from_kernel(
+            return Partition.from_kernel(
                 space.states, lambda s: table[space.index(s)]
             )
-        return self._kernel_cache[key]
+
+        return space.derived(
+            ("kernel", self.fingerprint(), kernel_mode()), build
+        )
 
     def preimage_index(
         self, space: StateSpace
     ) -> Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]:
-        """The full fibre index ``view state -> (gamma')^{-1}`` (cached).
+        """The full fibre index ``view state -> (gamma')^{-1}``.
 
         This is the tabulated inverse that every update strategy walks;
-        the engine layer memoizes it as an artifact so that independent
-        strategies over the same view and space share one table.
+        memoized on the space, so independent strategies over the same
+        view and space share one table.
         """
-        key = id(space)
-        if key not in self._preimage_cache:
+
+        def build() -> Dict[DatabaseInstance, Tuple[DatabaseInstance, ...]]:
             fibres: Dict[DatabaseInstance, list] = {}
             for state, image in zip(space.states, self.image_table(space)):
                 fibres.setdefault(image, []).append(state)
-            self._preimage_cache[key] = {
-                image: tuple(states) for image, states in fibres.items()
-            }
-        return self._preimage_cache[key]
+            return {image: tuple(states) for image, states in fibres.items()}
+
+        return space.derived(
+            ("fibres", self.fingerprint(), kernel_mode()), build
+        )
 
     def preimages(
         self, space: StateSpace, view_state: DatabaseInstance
     ) -> Tuple[DatabaseInstance, ...]:
-        """All base states mapping to *view_state* (cached per space)."""
+        """All base states mapping to *view_state* (memoized per space)."""
         return self.preimage_index(space).get(view_state, ())
 
     # -- surjectivity (the paper's standing assumption, §1.1) ----------------------

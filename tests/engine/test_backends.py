@@ -5,7 +5,7 @@ Four contracts are pinned here:
 * **protocol units** -- both shipped backends satisfy the
   :class:`~repro.engine.backends.base.ArtifactBackend` protocol and
   agree on round-trip, miss, delete, and stats behaviour;
-* **selection** -- explicit backend beats explicit ``cache_dir`` beats
+* **selection** -- an explicit backend beats
   ``REPRO_STORE_BACKEND``/``REPRO_STORE_URL``; a typo'd selection
   fails eagerly and typed;
 * **degradation** -- a backend that cannot open downgrades the store
@@ -231,7 +231,7 @@ class TestLocalDirSweep:
         reset_sweep_registry()
         root = tmp_path / "cache"
         self._stale_temp(root)
-        store = ArtifactStore(cache_dir=str(root))
+        store = ArtifactStore(backend=LocalDirBackend(str(root)))
         assert store.backend.sweep_reclaimed == 1
 
     def test_open_on_a_file_is_unavailable(self, tmp_path):
@@ -250,14 +250,9 @@ class TestSelection:
     def test_explicit_cache_dir_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
         monkeypatch.setenv("REPRO_STORE_URL", str(tmp_path / "db"))
-        store = ArtifactStore(cache_dir=str(tmp_path / "dir"))
+        store = ArtifactStore(backend=LocalDirBackend(str(tmp_path / "dir")))
         assert isinstance(store.backend, LocalDirBackend)
         assert store.backend.root == str(tmp_path / "dir")
-
-    def test_explicit_backend_wins_over_cache_dir(self, tmp_path):
-        backend = SQLiteBackend(str(tmp_path / "db"))
-        store = ArtifactStore(cache_dir=str(tmp_path / "dir"), backend=backend)
-        assert store.backend is backend
 
     def test_env_selects_sqlite(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")

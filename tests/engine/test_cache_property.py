@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.engine import Engine
+from repro.engine.backends import LocalDirBackend
 from repro.engine.store import ArtifactStore
 from repro.kernel.config import use_kernel
 from repro.relational.schema import RelationSchema, Schema
@@ -78,11 +79,15 @@ def test_memory_hit_equals_cold_build(mode, params):
 def test_disk_round_trip_equals_cold_build(mode, params):
     schema, assignment = small_universe(*params)
     with use_kernel(mode), fresh_cache_dir() as cache_dir:
-        cold_engine = Engine(store=ArtifactStore(cache_dir=cache_dir))
+        cold_engine = Engine(
+            store=ArtifactStore(backend=LocalDirBackend(cache_dir))
+        )
         cold = cold_engine.space(schema, assignment)
         assert cold_engine.stats()["artifacts"]["memory"]["space"]["builds"] == 1
 
-        warm_engine = Engine(store=ArtifactStore(cache_dir=cache_dir))
+        warm_engine = Engine(
+            store=ArtifactStore(backend=LocalDirBackend(cache_dir))
+        )
         loaded = warm_engine.space(schema, assignment)
         artifacts = warm_engine.stats()["artifacts"]
         assert artifacts["backend"]["kinds"]["space"]["disk_hits"] == 1

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.engine.engine import Engine
+from repro.engine.backends import LocalDirBackend
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import ReproError
 from repro.typealgebra.algebra import NULL
@@ -117,7 +118,7 @@ class TestThreadSingleFlight:
     def test_invalidate_races_with_builds(self, tmp_path):
         """Invalidation cascades hold the store lock: racing builders
         and invalidators must corrupt nothing and raise nothing."""
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
         root = _key("root")
         stop = time.monotonic() + 0.5
         failures = []
@@ -221,7 +222,7 @@ def _contend_worker(cache_dir, barrier, queue):
 
     install_plan(None)  # deterministic regardless of REPRO_FAULT_SEED
 
-    store = ArtifactStore(cache_dir=cache_dir)
+    store = ArtifactStore(backend=LocalDirBackend(cache_dir))
     key = ArtifactKey("space", "contended", "bitset")
 
     def slow_build():

@@ -14,6 +14,7 @@ from repro.engine.fingerprint import (
     stable_fingerprint,
     transient_token,
 )
+from repro.engine.backends import LocalDirBackend
 from repro.engine.store import ArtifactStore
 from repro.relational.constraints import FunctionalDependency
 from repro.relational.instances import DatabaseInstance
@@ -114,7 +115,9 @@ class TestViewContentAddressing:
         assignment = TypeAssignment.from_names(
             {"A": ("a1", "a2"), "B": ("a1", "a2")}
         )
-        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        engine = Engine(
+            store=ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
+        )
         with inject(None):
             yield schema, assignment, engine
 
@@ -187,7 +190,6 @@ class TestViewContentAddressing:
             for _ in range(2):
                 assert not view.is_content_addressed
                 engine.analysis(view, space)
-                engine.preimage_index(view, space)
         algebra = engine.algebra(space, (copy_r, gamma_s))
         engine.procedure(copy_r, algebra)
         persisted = sorted(

@@ -5,12 +5,14 @@ import threading
 
 import pytest
 
+from repro.engine.backends import LocalDirBackend
 from repro.engine.backends.sqlitedb import SQLiteBackend
 from repro.engine.engine import Engine, current_engine, default_engine
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import BackendConfigError, ReproError, UpdateRejected
 from repro.kernel.config import BULK, NAIVE, kernel_mode, use_kernel
-from repro.resilience.faults import inject
+from repro.relational.enumeration import StateSpace
+from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.typealgebra.algebra import NULL
 from repro.decomposition.projections import projection_view
 
@@ -85,23 +87,57 @@ class TestArtifactSharing:
         assert current_engine() is default_engine()
 
 
+class TestPoset:
+    """``Engine.poset`` runs the space's own memo through the resilience
+    wrapper; the store keeps no poset."""
+
+    def test_returns_the_space_poset_without_a_store_entry(self, two_unary):
+        engine = Engine()
+        with inject(None):
+            space = engine.space(two_unary.schema, two_unary.assignment)
+            entries = len(engine.store)
+            assert engine.poset(space) is space.poset
+            assert engine.poset(space) is space.poset
+            assert len(engine.store) == entries
+            assert "poset" not in engine.stats()["artifacts"]["memory"]
+
+    def test_bulk_crash_is_retried_on_the_naive_kernel(self, two_unary):
+        engine = Engine()
+        fresh = StateSpace.from_states(
+            two_unary.schema,
+            two_unary.assignment,
+            two_unary.space.states,
+            validate=False,
+        )
+        plan = FaultPlan(rules=(FaultRule("kernel.poset", kernel=BULK),))
+        with use_kernel(BULK), inject(plan):
+            poset = engine.poset(fresh)
+        assert poset is fresh.poset
+        assert poset.leq_matrix() == two_unary.space.poset.leq_matrix()
+        counters = engine.stats()["artifacts"]["memory"]["poset"]
+        assert counters["degradations"] == 1
+        assert counters["builds"] == 0
+
+
 class TestGivenStore:
     """Exact counters below: the ambient fault plan is suspended."""
 
     def test_engine_keeps_the_given_store(self, tmp_path, two_unary):
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
         engine = Engine(store=store)
         assert engine.store is store  # empty, hence falsy, yet kept
         with inject(None):
             engine.space(two_unary.schema, two_unary.assignment)
-            second = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+            second = Engine(
+                store=ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
+            )
             second.space(two_unary.schema, two_unary.assignment)
         artifacts = second.stats()["artifacts"]
         assert artifacts["backend"]["kinds"]["space"]["disk_hits"] == 1
         assert artifacts["memory"]["space"]["builds"] == 0
 
     def test_store_and_backend_together_fail_typed(self, tmp_path):
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
         backend = SQLiteBackend(str(tmp_path / "artifacts.db"))
         with pytest.raises(BackendConfigError, match="not both"):
             Engine(store=store, backend=backend)
@@ -118,7 +154,9 @@ class TestGivenStore:
                 path.name.split("-")[0] for path in tmp_path.glob("*.pkl")
             )
 
-        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        engine = Engine(
+            store=ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
+        )
         with inject(None):
             space = engine.space_from(small_chain)
             session = engine.session(
@@ -238,7 +276,9 @@ class TestBoundProcedures:
 
     @pytest.fixture
     def fresh(self, tmp_path, small_chain):
-        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        engine = Engine(
+            store=ArtifactStore(backend=LocalDirBackend(str(tmp_path)))
+        )
         with inject(None):
             space = engine.space_from(small_chain)
             session = engine.session(

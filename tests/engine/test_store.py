@@ -4,8 +4,12 @@ import pickle
 
 import pytest
 
+from repro.engine.backends import LocalDirBackend
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.resilience.faults import inject
+
+#: The backend's attempt budget for transient I/O errors.
+IO_ATTEMPTS = 3
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +30,15 @@ def hermetic_store_env(monkeypatch):
 
 def key(kind, fp, kernel="bitset"):
     return ArtifactKey(kind, fp, kernel)
+
+
+def local_store(path, **kwargs):
+    """A store persisting to the directory *path*, retrying I/O without
+    sleeping between attempts."""
+    backend = LocalDirBackend(
+        str(path), io_attempts=IO_ATTEMPTS, sleep=lambda seconds: None
+    )
+    return ArtifactStore(backend=backend, **kwargs)
 
 
 class TestMemoization:
@@ -107,12 +120,12 @@ class TestInvalidation:
 
 class TestDiskCache:
     def test_round_trip(self, tmp_path):
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         value = {"payload": (1, 2, 3)}
         store.get_or_build(key("space", "f1"), lambda: value, persist=True)
         assert (tmp_path / key("space", "f1").filename()).exists()
 
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
+        fresh = local_store(tmp_path)
         loaded = fresh.get_or_build(
             key("space", "f1"), lambda: pytest_fail(), persist=True
         )
@@ -126,7 +139,7 @@ class TestDiskCache:
         [b"not a pickle", b"garbage\n", b"", b"\x80\x05broken"],
     )
     def test_corrupt_entry_rebuilds(self, tmp_path, garbage):
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         path = tmp_path / key("space", "f1").filename()
         path.write_bytes(garbage)
         assert (
@@ -138,14 +151,14 @@ class TestDiskCache:
             == 1
         )
         # The rebuilt value was re-persisted in the enveloped format.
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
+        fresh = local_store(tmp_path)
         assert (
             fresh.get_or_build(key("space", "f1"), boom, persist=True)
             == "fresh"
         )
 
     def test_unpicklable_value_stays_memory_only(self, tmp_path):
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         value = lambda: None  # noqa: E731
         built = store.get_or_build(
             key("space", "f1"), lambda: value, persist=True
@@ -167,7 +180,7 @@ class TestDiskInvalidation:
     def test_invalidate_deletes_persisted_files(self, tmp_path):
         """Regression: a persisted artifact must not resurrect from
         disk after its key was invalidated."""
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         space = key("space", "s")
         analysis = key("analysis", "s")
         store.get_or_build(space, lambda: "S", persist=True)
@@ -180,14 +193,14 @@ class TestDiskInvalidation:
         assert not (tmp_path / space.filename()).exists()
         assert not (tmp_path / analysis.filename()).exists()
         # A fresh store rebuilds instead of reloading stale bytes.
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
+        fresh = local_store(tmp_path)
         assert (
             fresh.get_or_build(space, lambda: "S2", persist=True) == "S2"
         )
 
     def test_invalidate_reaches_disk_for_evicted_entries(self, tmp_path):
         """Files are deleted even for keys no longer in the LRU."""
-        store = ArtifactStore(cache_dir=str(tmp_path), max_entries=1)
+        store = local_store(tmp_path, max_entries=1)
         first = key("space", "s1")
         store.get_or_build(first, lambda: "S1", persist=True)
         store.get_or_build(key("space", "s2"), lambda: "S2", persist=True)
@@ -200,29 +213,26 @@ class TestTempFiles:
     def test_temp_name_is_per_process(self, tmp_path):
         import os
 
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         path = tmp_path / key("space", "f1").filename()
         tmp = store.backend._temp_path(path)
         assert str(os.getpid()) in tmp.name
         assert tmp.name.startswith(path.name)
 
     def test_no_temp_file_left_behind(self, tmp_path):
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         store.get_or_build(key("space", "f1"), lambda: "v", persist=True)
         leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
 
 class TestTransientIO:
-    def test_load_retries_transient_oserror(self, tmp_path, monkeypatch):
+    def test_load_retries_transient_oserror(self, tmp_path):
         from repro.resilience.faults import FaultPlan, FaultRule, inject
 
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         store.get_or_build(key("space", "f1"), lambda: "v", persist=True)
-        monkeypatch.setattr(
-            ArtifactStore, "_sleep", staticmethod(lambda s: None)
-        )
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
+        fresh = local_store(tmp_path)
         plan = FaultPlan(
             rules=(
                 FaultRule(
@@ -239,15 +249,12 @@ class TestTransientIO:
         assert counters["io_retries"] == 2
         assert counters["disk_hits"] == 1
 
-    def test_load_gives_up_and_rebuilds(self, tmp_path, monkeypatch):
+    def test_load_gives_up_and_rebuilds(self, tmp_path):
         from repro.resilience.faults import FaultPlan, FaultRule, inject
 
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         store.get_or_build(key("space", "f1"), lambda: "v", persist=True)
-        monkeypatch.setattr(
-            ArtifactStore, "_sleep", staticmethod(lambda s: None)
-        )
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
+        fresh = local_store(tmp_path)
         plan = FaultPlan(
             rules=(
                 FaultRule(
@@ -262,13 +269,10 @@ class TestTransientIO:
         assert value == "rebuilt"
         assert fresh.stats()["memory"]["space"]["builds"] == 1
 
-    def test_save_gives_up_after_bounded_retries(self, tmp_path, monkeypatch):
+    def test_save_gives_up_after_bounded_retries(self, tmp_path):
         from repro.resilience.faults import FaultPlan, FaultRule, inject
 
-        monkeypatch.setattr(
-            ArtifactStore, "_sleep", staticmethod(lambda s: None)
-        )
-        store = ArtifactStore(cache_dir=str(tmp_path))
+        store = local_store(tmp_path)
         plan = FaultPlan(
             rules=(
                 FaultRule(
@@ -283,7 +287,7 @@ class TestTransientIO:
         assert built == "v"
         counters = store.stats()["backend"]["kinds"]["space"]
         assert counters["persist_failures"] == 1
-        assert counters["io_retries"] == store.io_attempts - 1
+        assert counters["io_retries"] == IO_ATTEMPTS - 1
         assert not (tmp_path / key("space", "f1").filename()).exists()
 
 

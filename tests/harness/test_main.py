@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.harness.__main__ import main
+from repro.serving.client import run_load
+from repro.serving.service import chain_service
 
 
 class TestMain:
@@ -75,3 +78,55 @@ class TestMain:
         captured = capsys.readouterr().out
         assert f"malformed flag value(s): {expected}" in captured
         assert "[E1]" not in captured
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--workers=0", "E1"], "--workers=0 (expected at least 1)"),
+            (["--workers=-3", "E1"], "--workers=-3 (expected at least 1)"),
+            (["--deadline=-5", "E1"], "--deadline=-5 (expected at least 0)"),
+            (["--deadline=nan", "E1"], "--deadline=nan (expected at least 0)"),
+            (
+                ["--load-gen", "--port=1", "--clients=0"],
+                "--clients=0 (expected at least 1)",
+            ),
+            (
+                ["--load-gen", "--port=1", "--clients=-2", "--duration=-1"],
+                "--clients=-2 (expected at least 1),"
+                " --duration=-1 (expected above 0)",
+            ),
+            (
+                ["--load-gen", "--port=1", "--duration=0"],
+                "--duration=0 (expected above 0)",
+            ),
+            (
+                ["--load-gen", "--port=0", "--clients=1", "--duration=0.2"],
+                "--port=0 (expected 1 to 65535)",
+            ),
+            (
+                ["--load-gen", "--port=65536", "--clients=1"],
+                "--port=65536 (expected 1 to 65535)",
+            ),
+        ],
+    )
+    def test_out_of_range_flag_value_rejected(self, capsys, argv, expected):
+        assert main(argv) == 2
+        captured = capsys.readouterr().out
+        assert f"malformed flag value(s): {expected}\n" in captured
+        assert "[E1]" not in captured
+        assert "serviced" not in captured
+
+    def test_load_gen_failure_is_one_line(self, capsys):
+        """Nothing listens on port 1, so every load thread dies: the
+        typed error is one line and exit status 1, not a traceback."""
+        argv = ["--load-gen", "--port=1", "--clients=1", "--duration=0.2"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("load generator failed: ")
+
+    def test_run_load_needs_a_client(self):
+        with pytest.raises(ReproError, match="at least one client"):
+            run_load(
+                "127.0.0.1", 1, chain_service().sample_requests, clients=0
+            )

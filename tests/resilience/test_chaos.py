@@ -10,6 +10,7 @@ sees either a structured :class:`UpdateOutcome` or a typed
 import pytest
 
 from repro.decomposition.projections import projection_view
+from repro.engine.backends import LocalDirBackend
 from repro.engine.engine import Engine, UpdateOutcome
 from repro.engine.store import ArtifactStore
 from repro.errors import ReproError
@@ -23,6 +24,12 @@ from repro.resilience.faults import (
 from repro.typealgebra.algebra import NULL
 
 VIEW = "Γ_ABD"
+
+
+def local_store(path):
+    """A store on a local directory whose I/O retries do not sleep."""
+    backend = LocalDirBackend(str(path), sleep=lambda seconds: None)
+    return ArtifactStore(backend=backend)
 
 
 def make_session(engine, small_chain, space=None):
@@ -47,17 +54,13 @@ def make_request(session, small_chain):
 @pytest.mark.parametrize("point", FAULT_POINTS)
 class TestFailClosedUpdates:
     def test_update_returns_outcome_or_typed_error(
-        self, point, kernel, small_chain, small_space, tmp_path, monkeypatch
+        self, point, kernel, small_chain, small_space, tmp_path
     ):
         """An always-on fault at *point*: the update may fail, but only
         closed -- with a ``ReproError`` -- never with a leaked internal
         exception."""
-        monkeypatch.setattr(
-            "repro.engine.store.ArtifactStore._sleep",
-            staticmethod(lambda seconds: None),
-        )
         with use_kernel(kernel):
-            engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+            engine = Engine(store=local_store(tmp_path))
             session = make_session(engine, small_chain, small_space)
             state, target = make_request(session, small_chain)
             plan = FaultPlan(seed=13, rules=(FaultRule(point),))
@@ -69,17 +72,13 @@ class TestFailClosedUpdates:
                 assert isinstance(outcome, UpdateOutcome)
 
     def test_whole_pipeline_never_leaks_internal_errors(
-        self, point, kernel, small_chain, small_space, tmp_path, monkeypatch
+        self, point, kernel, small_chain, small_space, tmp_path
     ):
         """Same invariant with the fault active from session creation
         onward: registration and algebra discovery are allowed to fail,
         but only with typed errors."""
-        monkeypatch.setattr(
-            "repro.engine.store.ArtifactStore._sleep",
-            staticmethod(lambda seconds: None),
-        )
         with use_kernel(kernel):
-            engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+            engine = Engine(store=local_store(tmp_path))
             plan = FaultPlan(seed=13, rules=(FaultRule(point),))
             with inject(plan):
                 try:
@@ -94,19 +93,15 @@ class TestFailClosedUpdates:
 @pytest.mark.parametrize("kernel", [BULK, NAIVE])
 class TestColdVersusCachedUnderFaults:
     def test_cold_and_cached_runs_agree(
-        self, kernel, small_chain, small_space, tmp_path, monkeypatch
+        self, kernel, small_chain, small_space, tmp_path
     ):
         """With the light background plan active, a cold run (building
         and persisting every artifact) and a warm run (reloading them
         through faulty I/O) must service the same update identically."""
-        monkeypatch.setattr(
-            "repro.engine.store.ArtifactStore._sleep",
-            staticmethod(lambda seconds: None),
-        )
 
         def run(seed):
             with use_kernel(kernel), inject(FaultPlan.light(seed)):
-                engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+                engine = Engine(store=local_store(tmp_path))
                 session = make_session(engine, small_chain, small_space)
                 state, target = make_request(session, small_chain)
                 return session.update(VIEW, state, target)
@@ -120,15 +115,11 @@ class TestColdVersusCachedUnderFaults:
 
 class TestLightPlanIsAbsorbed:
     def test_update_succeeds_under_the_background_plan(
-        self, small_chain, small_space, tmp_path, monkeypatch
+        self, small_chain, small_space, tmp_path
     ):
         """The plan CI runs the whole suite under must be invisible:
         every injected fault is absorbed, the update is accepted."""
-        monkeypatch.setattr(
-            "repro.engine.store.ArtifactStore._sleep",
-            staticmethod(lambda seconds: None),
-        )
-        engine = Engine(store=ArtifactStore(cache_dir=str(tmp_path)))
+        engine = Engine(store=local_store(tmp_path))
         with inject(FaultPlan.light(seed=1)):
             session = make_session(engine, small_chain, small_space)
             state, target = make_request(session, small_chain)
