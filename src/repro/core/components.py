@@ -23,7 +23,7 @@ view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import NotAComplementError, ReproError
 from repro.algebra.boolean_algebra import FiniteBooleanAlgebra
@@ -212,18 +212,22 @@ class ComponentAlgebra:
     ) -> "ComponentAlgebra":
         """Find the components among *candidates* and build the algebra.
 
-        Steps: analyse each candidate; keep the strong ones; dedupe by
-        endomorphism (isomorphic views collapse); pair up strong
-        complements by the Lemma 2.3.2(b) criterion; keep the
-        complemented ones; verify the Boolean algebra axioms over the
-        pointwise endomorphism order.
+        Steps: analyse each distinct candidate (by fingerprint) once;
+        keep the strong ones; dedupe by endomorphism (isomorphic views
+        collapse); pair up strong complements by the Lemma 2.3.2(b)
+        criterion; keep the complemented ones; verify the Boolean
+        algebra axioms over the pointwise endomorphism order.
         """
         analyses: List[StrongViewAnalysis] = []
         views: List[View] = list(candidates)
         if include_bounds:
             views.append(identity_view(space.schema))
             views.append(zero_view(space.schema))
+        seen: Set[str] = set()
         for view in views:
+            if view.fingerprint() in seen:
+                continue
+            seen.add(view.fingerprint())
             analysis = analyze_view(view, space)
             if analysis.is_strong:
                 analyses.append(analysis)

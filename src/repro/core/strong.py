@@ -31,12 +31,13 @@ from repro.views.view import View
 
 @dataclass
 class StrongViewAnalysis:
-    """The result of analysing one view over one state space."""
+    """One view analysed over one state space: the five Definition
+    §2.3 verdicts and, when least preimages exist, the ``gamma#`` and
+    ``gamma^Theta`` tables.  ``gamma'`` is ``view.image_table(space)``
+    and is not kept, so a pickled analysis holds no poset."""
 
     view: View
     space: StateSpace
-    #: ``gamma'`` as a poset morphism LDB(D) -> image(gamma').
-    morphism: PosetMorphism
     is_monotone: bool
     preserves_bottom: bool
     admits_least_preimages: bool
@@ -167,10 +168,7 @@ def analyze_view(view: View, space: StateSpace) -> StrongViewAnalysis:
 
         return analyze_view_bulk(view, space)
     target = image_poset(view, space)
-    table = {
-        state: image
-        for state, image in zip(space.states, view.image_table(space))
-    }
+    table = dict(zip(space.states, view.image_table(space)))
     morphism = PosetMorphism(space.poset, target, table)
     is_monotone = morphism.is_monotone()
     preserves_bottom = morphism.preserves_bottom()
@@ -190,7 +188,6 @@ def analyze_view(view: View, space: StateSpace) -> StrongViewAnalysis:
     return StrongViewAnalysis(
         view=view,
         space=space,
-        morphism=morphism,
         is_monotone=is_monotone,
         preserves_bottom=preserves_bottom,
         admits_least_preimages=admits_lp,

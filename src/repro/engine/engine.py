@@ -72,6 +72,7 @@ from repro.engine.fingerprint import is_content_addressed, stable_fingerprint
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import (
     BackendConfigError,
+    DeadlineConfigError,
     DeadlineExceededError,
     KernelFailureError,
     ReproError,
@@ -150,7 +151,8 @@ class Engine:
     selection when that is ``None`` too).  A store's backend is fixed
     when the store is built, so passing both *store* and *backend*
     raises :class:`~repro.errors.BackendConfigError` instead of
-    silently dropping the backend.
+    silently dropping the backend, and a *deadline_ms* or *max_steps*
+    below 0 (or NaN) raises :class:`~repro.errors.DeadlineConfigError`.
     """
 
     def __init__(
@@ -166,6 +168,12 @@ class Engine:
                 "Engine takes store= or backend=, not both: pass the "
                 "backend to the store, ArtifactStore(backend=...)"
             )
+        limits = {"deadline_ms": deadline_ms, "max_steps": max_steps}
+        for knob, limit in limits.items():
+            if limit is not None and not limit >= 0:
+                raise DeadlineConfigError(
+                    f"Engine({knob}={limit!r}): expected a number at least 0"
+                )
         #: The artifact store (an empty store is falsy, so test for
         #: ``None``).
         self.store = (

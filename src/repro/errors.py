@@ -161,6 +161,13 @@ class BackendUnavailableError(BackendError):
     memory-only operation."""
 
 
+class DeadlineConfigError(ResilienceError, ValueError):
+    """A deadline or step budget (``REPRO_DEADLINE_MS``,
+    ``Engine(deadline_ms=...)``, ``Engine(max_steps=...)``) is not a
+    number at least 0.  Raised eagerly: a typo'd or NaN deadline must
+    not silently mean "no deadline"."""
+
+
 class DeadlineExceededError(ResilienceError):
     """A derivation ran past its wall-clock deadline or step budget.
 

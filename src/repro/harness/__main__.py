@@ -8,9 +8,9 @@ one shared :class:`~repro.engine.engine.Engine`, so recurring universes
 surface as cache hits rather than repeated enumerations.
 
 ``--deadline=MS`` bounds every derivation's wall-clock time (the
-``REPRO_DEADLINE_MS`` environment variable supplies the same default);
-an experiment whose derivations exceed it is reported as a deadline
-failure instead of hanging the run.
+``REPRO_DEADLINE_MS`` environment variable supplies the same default,
+range-checked as the flag is); an experiment whose derivations exceed
+it is reported as a deadline failure instead of hanging the run.
 
 ``--workers=N`` services the experiments from N threads sharing the
 one engine -- a live demonstration of the concurrency layer: repeated
@@ -47,8 +47,14 @@ from typing import Callable
 
 from repro.engine.backends import create_backend
 from repro.engine.engine import Engine
-from repro.errors import BackendConfigError, DeadlineExceededError, ReproError
+from repro.errors import (
+    BackendConfigError,
+    DeadlineConfigError,
+    DeadlineExceededError,
+    ReproError,
+)
 from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
+from repro.resilience.guard import deadline_from_env
 
 
 def _markdown(results) -> str:
@@ -273,6 +279,12 @@ def main(argv: list[str]) -> int:
     except BackendConfigError as exc:
         print(f"backend configuration error: {exc}")
         return 2
+    if deadline_ms is None:
+        try:
+            deadline_ms = deadline_from_env()
+        except DeadlineConfigError as exc:
+            print(f"deadline configuration error: {exc}")
+            return 2
     engine = Engine(deadline_ms=deadline_ms, backend=backend)
     if workers == 1:
         outcomes = [_run_one(eid, engine) for eid in requested]

@@ -2,9 +2,9 @@
 
 Produces a :class:`~repro.core.strong.StrongViewAnalysis` identical to
 the naive one in :func:`repro.core.strong.analyze_view` -- same
-morphism, same verdicts, same ``gamma#``/``gamma^Theta`` tables -- but
-replaces the quadratic tuple-by-tuple predicate checks with integer
-arithmetic over the state-space poset's down-set masks:
+verdicts, same ``gamma#``/``gamma^Theta`` tables -- but replaces the
+quadratic tuple-by-tuple predicate checks with integer arithmetic over
+the state-space poset's down-set masks:
 
 * the image poset is built from instance bitmasks
   (:meth:`FinitePoset.from_masks`), not ``n^2`` ``issubset`` calls;
@@ -15,28 +15,14 @@ arithmetic over the state-space poset's down-set masks:
 * least preimages come from fiber masks: the least element of a fiber
   is the member whose down-set covers the whole fiber;
 * downward stationarity is one mask-containment pass over ``lp``.
-
-The resulting predicate values are seeded into the
-:class:`~repro.algebra.morphisms.PosetMorphism` caches so later calls
-through the generic API do not silently re-run the slow paths.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    cast,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.kernel.bitspace import TupleCodec
 from repro.kernel.bulkops import StrideTicker, fiber_masks, pullback_monotone
-from repro.algebra.morphisms import PosetMorphism
 from repro.algebra.poset import FinitePoset
 from repro.relational.instances import DatabaseInstance, sorted_instances
 from repro.resilience.faults import fault_check
@@ -55,9 +41,7 @@ def image_poset_bitset(states: Iterable[DatabaseInstance]) -> FinitePoset:
 
 
 def _analyze_identity_like(
-    view: View,
-    space: StateSpace,
-    raw_table: Tuple[DatabaseInstance, ...],
+    view: View, space: StateSpace
 ) -> StrongViewAnalysis:
     """Fast path for a view whose ``gamma'`` fixes every state.
 
@@ -72,19 +56,11 @@ def _analyze_identity_like(
     from repro.core.strong import StrongViewAnalysis
 
     states = space.states
-    source = space.poset
-    identity_map: Dict[Hashable, Hashable] = dict(zip(states, raw_table))
-    morphism = PosetMorphism(source, source, identity_map)
-    morphism._cache["monotone"] = True
-    morphism._cache["admits_lp"] = True
-    has_bottom = source.has_bottom()
-    morphism._cache["lri"] = has_bottom
-    morphism._cache["down_stat"] = True
+    has_bottom = space.poset.has_bottom()
     identity_table = {state: state for state in states}
     analysis = StrongViewAnalysis(
         view=view,
         space=space,
-        morphism=morphism,
         is_monotone=True,
         preserves_bottom=has_bottom,
         admits_least_preimages=True,
@@ -105,29 +81,24 @@ def analyze_view_bulk(view: View, space: StateSpace) -> StrongViewAnalysis:
     fault_check("kernel.analysis")
 
     states = space.states
-    n = len(states)
     source = space.poset
     below_s = source.leq_matrix()
 
     raw_table = view.image_table(space)
     if raw_table == states:
-        return _analyze_identity_like(view, space, raw_table)
+        return _analyze_identity_like(view, space)
     image_states = sorted_instances(set(raw_table))
     target = image_poset_bitset(image_states)
     below_t = target.leq_matrix()
     target_index = {state: i for i, state in enumerate(image_states)}
     fidx = [target_index[image] for image in raw_table]
 
-    table: Dict[Hashable, Hashable] = dict(zip(states, raw_table))
-    morphism = PosetMorphism(source, target, table)
-
     is_monotone = pullback_monotone(below_s, below_t, fidx)
-    morphism._cache["monotone"] = is_monotone
 
     preserves_bottom = (
         source.has_bottom()
         and target.has_bottom()
-        and table[source.bottom()] == target.bottom()
+        and raw_table[source.index(source.bottom())] == target.bottom()
     )
 
     # Fibers of gamma' as masks over source state indices.
@@ -158,7 +129,6 @@ def analyze_view_bulk(view: View, space: StateSpace) -> StrongViewAnalysis:
             break
         sharp_idx[f] = least
     ticker.flush()
-    morphism._cache["admits_lp"] = admits_lp
 
     sharp_table: Optional[Dict[DatabaseInstance, DatabaseInstance]] = None
     theta_table: Optional[Dict[DatabaseInstance, DatabaseInstance]] = None
@@ -166,23 +136,14 @@ def analyze_view_bulk(view: View, space: StateSpace) -> StrongViewAnalysis:
     sharp_monotone = False
     downward_stationary = False
     if admits_lp:
-        sharp_map: Dict[Hashable, Hashable] = {
-            image_states[f]: states[sharp_idx[f]] for f in range(m)
-        }
-        sharp_table = cast(
-            Dict[DatabaseInstance, DatabaseInstance], sharp_map
-        )
-        sharp = PosetMorphism(target, source, sharp_map)
-        sharp_order_ok = pullback_monotone(below_t, below_s, sharp_idx)
-        sharp._cache["monotone"] = sharp_order_ok
+        sharp_table = {v: states[k] for v, k in zip(image_states, sharp_idx)}
         # `sharp_is_monotone` mirrors the naive path's sharp.is_morphism():
-        # monotone *and* bottom-preserving.
-        sharp_monotone = sharp_order_ok and (
-            target.has_bottom()
-            and source.has_bottom()
-            and sharp_map[target.bottom()] == source.bottom()
+        # monotone *and* bottom-preserving.  gamma# preserves bottom
+        # exactly when gamma' does: gamma'(gamma#(y)) = y, and a bottom
+        # state is the least member of its own fiber.
+        sharp_monotone = preserves_bottom and pullback_monotone(
+            below_t, below_s, sharp_idx
         )
-        morphism._cache["lri"] = admits_lp and sharp_monotone
 
         lp_mask = 0
         ticker = StrideTicker()
@@ -199,15 +160,13 @@ def analyze_view_bulk(view: View, space: StateSpace) -> StrongViewAnalysis:
                 downward_stationary = False
                 break
         ticker.flush()
-        morphism._cache["down_stat"] = downward_stationary
 
         theta_idx = [sharp_idx[f] for f in fidx]
-        theta_table = {states[i]: states[theta_idx[i]] for i in range(n)}
+        theta_table = {s: states[k] for s, k in zip(states, theta_idx)}
 
     analysis = StrongViewAnalysis(
         view=view,
         space=space,
-        morphism=morphism,
         is_monotone=is_monotone,
         preserves_bottom=preserves_bottom,
         admits_least_preimages=admits_lp,

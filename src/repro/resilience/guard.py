@@ -27,7 +27,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineConfigError, DeadlineExceededError
 
 __all__ = [
     "DEADLINE_ENV_VAR",
@@ -186,10 +186,19 @@ def guarded(guard: Optional[ExecutionGuard]) -> Iterator[
 def deadline_from_env() -> Optional[float]:
     """The ``REPRO_DEADLINE_MS`` value as a float, or ``None``.
 
-    A malformed value raises ``ValueError`` eagerly rather than being
+    A value that is not a number at least 0 raises
+    :class:`~repro.errors.DeadlineConfigError` eagerly rather than being
     silently ignored -- a typo'd deadline must not mean "no deadline".
     """
     raw = os.environ.get(DEADLINE_ENV_VAR)
     if raw is None or not raw.strip():
         return None
-    return float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise DeadlineConfigError(
+            f"{DEADLINE_ENV_VAR}={raw!r}: expected a number at least 0"
+        )
+    return value

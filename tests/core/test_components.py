@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NotAComplementError, ReproError
+from repro.core import components
 from repro.core.components import (
     ComponentAlgebra,
     are_strong_complements,
@@ -134,6 +135,34 @@ class TestDiscovery:
         views.append(small_chain.component_view([0], name="dup"))
         algebra = ComponentAlgebra.discover(small_space, views)
         assert len(algebra) == 8  # the duplicate collapsed
+
+    def test_analyses_each_distinct_candidate_once(
+        self, small_chain, small_space, monkeypatch
+    ):
+        views = list(small_chain.all_component_views())
+        # Repeats: the same objects again, and an equal view built anew.
+        repeated = views + views[:3] + [small_chain.component_view([1, 2])]
+        bounds = [
+            identity_view(small_space.schema),
+            zero_view(small_space.schema),
+        ]
+        distinct = {view.fingerprint() for view in repeated + bounds}
+        expected = ComponentAlgebra.discover(small_space, views)
+
+        analysed = []
+
+        def counting(view, space):
+            analysed.append(view.fingerprint())
+            return analyze_view(view, space)
+
+        monkeypatch.setattr(components, "analyze_view", counting)
+        algebra = ComponentAlgebra.discover(small_space, repeated)
+        assert sorted(analysed) == sorted(distinct)
+
+        def members(alg):
+            return [(c.name, c.key, c.complement.name) for c in alg]
+
+        assert members(algebra) == members(expected)
 
     def test_fixpoints_are_component_parts(self, small_algebra, small_chain):
         ab = small_algebra.named("Γ°AB")

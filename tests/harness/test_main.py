@@ -116,6 +116,17 @@ class TestMain:
         assert "[E1]" not in captured
         assert "serviced" not in captured
 
+    @pytest.mark.parametrize("raw", ["-5", "nan", "soon"])
+    def test_bad_environment_deadline_is_one_line(
+        self, capsys, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_DEADLINE_MS", raw)
+        assert main(["E1"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"deadline configuration error: REPRO_DEADLINE_MS={raw!r}: "
+            "expected a number at least 0"
+        ]
+
     def test_load_gen_failure_is_one_line(self, capsys):
         """Nothing listens on port 1, so every load thread dies: the
         typed error is one line and exit status 1, not a traceback."""

@@ -4,8 +4,9 @@ Four invariants, each quantified over random small schemas (or random
 update requests on the paper's small ABCD chain):
 
 * enumeration -- same states in the same order, same ⊥-poset;
-* strong-view analysis -- identical verdicts, ``gamma#`` and
-  ``gamma^Theta`` tables for a random projection view;
+* strong-view analysis -- identical verdicts, image table and image
+  poset, ``gamma#`` and ``gamma^Theta`` tables for a random projection
+  view;
 * component discovery -- identical component algebras over a random
   two-unary universe;
 * translated updates -- field-identical :class:`UpdateOutcome`\\ s for
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.components import ComponentAlgebra
-from repro.core.strong import analyze_view
+from repro.core.strong import analyze_view, image_poset
 from repro.decomposition.projections import projection_view
 from repro.engine.engine import Engine, UpdateOutcome
 from repro.kernel.config import use_kernel
@@ -70,13 +71,15 @@ def universes(draw):
 
 
 def analysis_signature(analysis):
+    image = image_poset(analysis.view, analysis.space)
     return (
         analysis.is_monotone,
         analysis.preserves_bottom,
         analysis.admits_least_preimages,
         analysis.sharp_is_monotone,
         analysis.is_downward_stationary,
-        analysis.morphism.table,
+        analysis.view.image_table(analysis.space),
+        (image.elements, image.leq_matrix()),
         analysis.sharp,
         analysis.theta,
     )

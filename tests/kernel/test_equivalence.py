@@ -2,8 +2,9 @@
 
 The acceptance bar for the kernels: on E7 (Example 1.3.6's two-unary
 universe) and E8 (Example 2.1.1's small ABCD chain), both kernels
-must produce identical state spaces, posets, view kernels, ``gamma#`` /
-``gamma^Theta`` tables, and component algebras.  Every artifact is
+must produce identical state spaces, posets, view kernels, image tables
+and image posets, ``gamma#`` / ``gamma^Theta`` tables, and component
+algebras.  Every artifact is
 rebuilt from scratch under each mode (state spaces cache their posets,
 so fixtures cannot be shared across modes).
 """
@@ -11,7 +12,7 @@ so fixtures cannot be shared across modes).
 import pytest
 
 from repro.core.components import ComponentAlgebra, are_strong_complements
-from repro.core.strong import analyze_view
+from repro.core.strong import analyze_view, image_poset
 from repro.kernel.config import use_kernel
 from repro.relational.enumeration import enumerate_instances
 from repro.workloads.scenarios import abcd_chain_small, two_unary_scenario
@@ -28,8 +29,8 @@ def analysis_signature(analysis):
         analysis.admits_least_preimages,
         analysis.sharp_is_monotone,
         analysis.is_downward_stationary,
-        analysis.morphism.table,
-        poset_signature(analysis.morphism.target),
+        analysis.view.image_table(analysis.space),
+        poset_signature(image_poset(analysis.view, analysis.space)),
         analysis.sharp,
         analysis.theta,
     )

@@ -1,9 +1,11 @@
 """Deadlines and step budgets threaded through the engine."""
 
+import re
+
 import pytest
 
 from repro.engine.engine import Engine
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, ReproError
 from repro.kernel.config import BULK, NAIVE, use_kernel
 from repro.resilience.guard import (
     DEADLINE_ENV_VAR,
@@ -71,6 +73,33 @@ class TestWallClockThroughEngine:
         engine = Engine()
         with pytest.raises(ValueError):
             engine.space(two_unary.schema, two_unary.assignment)
+
+
+class TestLimitsOutOfRange:
+    """A deadline or step budget below 0 or NaN is a typed error naming
+    the knob and the value: never a bare ``ValueError`` out of the first
+    derivation, never a silent "no deadline"."""
+
+    @pytest.mark.parametrize("raw", ["-5", "nan"])
+    def test_environment_deadline(self, two_unary, monkeypatch, raw):
+        monkeypatch.setenv(DEADLINE_ENV_VAR, raw)
+        engine = Engine()
+        with pytest.raises(ReproError, match=f"REPRO_DEADLINE_MS='{raw}'"):
+            engine.space(two_unary.schema, two_unary.assignment)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("deadline_ms", -5),
+            ("deadline_ms", float("nan")),
+            ("max_steps", -1),
+        ],
+    )
+    def test_constructor_limit(self, knob, value):
+        with pytest.raises(
+            ReproError, match=re.escape(f"Engine({knob}={value!r})")
+        ):
+            Engine(**{knob: value})
 
 
 class TestGuardScoping:
