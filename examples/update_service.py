@@ -25,6 +25,7 @@ Persistence flags (the same selection the ``REPRO_STORE_BACKEND`` /
 
 from __future__ import annotations
 
+import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -38,21 +39,16 @@ from repro.serving.warmstart import sibling_warm_start
 from repro.workloads.scenarios import abcd_chain_small
 
 
-def _flag_value(argv: list[str], name: str) -> str | None:
-    prefix = f"--{name}="
-    for arg in argv:
-        if arg.startswith(prefix):
-            return arg.split("=", 1)[1]
-    return None
-
-
-def _engine_from_flags(argv: list[str]) -> Engine | None:
-    """An engine over the requested backend, or ``None`` (ambient)."""
-    backend_name = _flag_value(argv, "backend")
-    if backend_name is None:
-        return None
-    url = _flag_value(argv, "store-url") or ""
-    return Engine(backend=create_backend(backend_name, url))
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="examples/update_service.py",
+        description="A miniature view-update service.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--backend", help="local or sqlite")
+    parser.add_argument("--store-url", metavar="PATH")
+    parser.add_argument("--two-process-demo", action="store_true")
+    return parser
 
 
 def two_process_demo(url: str | None) -> int:
@@ -186,14 +182,17 @@ def run_service(engine: Engine | None) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if "--two-process-demo" in argv:
-        return two_process_demo(_flag_value(argv, "store-url"))
+    args = _parser().parse_args(argv)
+    if args.two_process_demo:
+        return two_process_demo(args.store_url)
+    if args.backend is None:
+        return run_service(None)
     try:
-        engine = _engine_from_flags(argv)
+        backend = create_backend(args.backend, args.store_url or "")
     except BackendConfigError as exc:
         print(f"backend configuration error: {exc}")
         return 2
-    return run_service(engine)
+    return run_service(Engine(backend=backend))
 
 
 if __name__ == "__main__":

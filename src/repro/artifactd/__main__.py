@@ -11,7 +11,8 @@ one), so fleet launchers and benchmarks can connect without racing::
 server comes back warm; without it the store is memory-only and dies
 with the process (fine for tests and benchmarks).
 
-Exit status: 0 after a clean shutdown, 2 for bad usage.
+Exit status: 0 after a clean shutdown, 2 for bad usage (argparse's
+usage error: ``--port`` takes an integer from 0 to 65535).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from types import FrameType
 from typing import List, Optional
 
 from repro.artifactd.server import ArtifactServer
+from repro.settings import PORT, flag
 
 __all__ = ["main"]
 
@@ -37,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int, default=0, help="0 picks a free port"
+        "--port", type=flag(PORT), default=0, help="0 picks a free port"
     )
     parser.add_argument(
         "--root",

@@ -29,8 +29,7 @@ counter -- persistence is never load-bearing.
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.engine.backends.base import (
     ArtifactBackend,
@@ -78,11 +77,7 @@ _BACKEND_NAMES = ("local", "sqlite", "remote")
 
 
 def create_backend(
-    name: str,
-    url: str,
-    io_attempts: int = 3,
-    io_backoff: float = 0.01,
-    sleep: Callable[[float], None] = time.sleep,
+    name: str, url: str, io_attempts: int = 3
 ) -> ArtifactBackend:
     """Construct (but do not open) the backend called *name* at *url*.
 
@@ -108,16 +103,10 @@ def create_backend(
             + locations[normalized]
         )
     if normalized == "local":
-        return LocalDirBackend(
-            url, io_attempts=io_attempts, io_backoff=io_backoff, sleep=sleep
-        )
+        return LocalDirBackend(url, io_attempts=io_attempts)
     if normalized == "remote":
-        return RemoteBackend(
-            url, io_attempts=io_attempts, io_backoff=io_backoff, sleep=sleep
-        )
-    return SQLiteBackend(
-        url, io_attempts=io_attempts, io_backoff=io_backoff, sleep=sleep
-    )
+        return RemoteBackend(url, io_attempts=io_attempts)
+    return SQLiteBackend(url, io_attempts=io_attempts)
 
 
 def resolve_backend() -> Optional[ArtifactBackend]:

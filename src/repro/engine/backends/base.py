@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, runtime_checkable
 
 from repro.engine.keys import ArtifactKey
+from repro.settings import RETRY_ATTEMPTS, read
 
 __all__ = [
     "ArtifactBackend",
@@ -146,14 +147,11 @@ class RetryPolicy:
 
     def __init__(
         self,
-        attempts: int = 3,
+        attempts: int = RETRY_ATTEMPTS.default,
         backoff: float = 0.01,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if attempts < 1:
-            # reprolint: disable=RL001 -- argument validation on the public retry knob; stdlib idiom
-            raise ValueError("attempts must be positive")
-        self.attempts = attempts
+        self.attempts = read(RETRY_ATTEMPTS, attempts, "RetryPolicy")
         self.backoff = backoff
         self.sleep = sleep
 

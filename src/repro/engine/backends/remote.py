@@ -75,24 +75,19 @@ from repro.errors import BackendUnavailableError, CircuitOpenError
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_check, fault_corrupt
 from repro.resilience.locks import lock_ttl_ms
+from repro.settings import REMOTE_TIMEOUT_MS, read
 
 __all__ = [
-    "DEFAULT_REMOTE_TIMEOUT_MS",
     "DEFAULT_BREAKER_THRESHOLD",
     "DEFAULT_BREAKER_COOLDOWN_MS",
     "REMOTE_SPILL_ENV_VAR",
-    "REMOTE_TIMEOUT_ENV_VAR",
     "RemoteBackend",
     "RemoteLease",
 ]
 
-#: Environment variable bounding every HTTP call (milliseconds).
-REMOTE_TIMEOUT_ENV_VAR = "REPRO_REMOTE_TIMEOUT_MS"
-
 #: Environment variable locating the local write-behind spill tier.
 REMOTE_SPILL_ENV_VAR = "REPRO_REMOTE_SPILL_DIR"
 
-DEFAULT_REMOTE_TIMEOUT_MS = 2_000.0
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_COOLDOWN_MS = 5_000.0
 
@@ -104,20 +99,6 @@ _MAX_BACKOFF_S = 0.25
 _OK = "ok"
 _MISS = "miss"
 _FAIL = "fail"
-
-
-def remote_timeout_ms(explicit: Optional[float] = None) -> float:
-    """Per-op deadline in ms: explicit argument beats the environment.
-
-    A malformed value raises ``ValueError`` eagerly -- a typo'd
-    deadline must not silently mean "default deadline".
-    """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(REMOTE_TIMEOUT_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_REMOTE_TIMEOUT_MS
-    return float(raw)
 
 
 def remote_spill_dir(explicit: Optional[str] = None) -> Optional[str]:
@@ -218,10 +199,10 @@ class RemoteBackend:
     ) -> None:
         self.url = str(url).rstrip("/")
         self._retry = RetryPolicy(io_attempts, io_backoff, sleep)
-        self.timeout_ms = remote_timeout_ms(timeout_ms)
+        self.timeout_ms = read(REMOTE_TIMEOUT_MS, timeout_ms, "RemoteBackend")
         self.spill_dir = remote_spill_dir(spill_dir)
-        # Raises ValueError for a threshold below 1 or a negative
-        # cooldown, as RetryPolicy does for io_attempts below 1.
+        # A threshold below 1 or a cooldown below 0 is a ConfigError,
+        # as an io_attempts below 1 is in RetryPolicy.
         self._breaker = CircuitBreaker(
             threshold=threshold, cooldown_ms=cooldown_ms
         )

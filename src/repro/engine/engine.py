@@ -72,7 +72,6 @@ from repro.engine.fingerprint import is_content_addressed, stable_fingerprint
 from repro.engine.store import ArtifactKey, ArtifactStore
 from repro.errors import (
     BackendConfigError,
-    DeadlineConfigError,
     DeadlineExceededError,
     KernelFailureError,
     ReproError,
@@ -84,10 +83,10 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.guard import (
     ExecutionGuard,
     current_guard,
-    deadline_from_env,
     guarded,
 )
 from repro.algebra.poset import FinitePoset
+from repro.settings import DEADLINE_MS, MAX_STEPS, read
 from repro.relational.enumeration import StateSpace
 from repro.relational.instances import DatabaseInstance
 from repro.relational.schema import Schema
@@ -152,7 +151,7 @@ class Engine:
     when the store is built, so passing both *store* and *backend*
     raises :class:`~repro.errors.BackendConfigError` instead of
     silently dropping the backend, and a *deadline_ms* or *max_steps*
-    below 0 (or NaN) raises :class:`~repro.errors.DeadlineConfigError`.
+    below 0 (or NaN) raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -168,12 +167,11 @@ class Engine:
                 "Engine takes store= or backend=, not both: pass the "
                 "backend to the store, ArtifactStore(backend=...)"
             )
-        limits = {"deadline_ms": deadline_ms, "max_steps": max_steps}
-        for knob, limit in limits.items():
-            if limit is not None and not limit >= 0:
-                raise DeadlineConfigError(
-                    f"Engine({knob}={limit!r}): expected a number at least 0"
-                )
+        # Limits are checked before a store opens its backend.  An
+        # unset deadline is read from the environment per derivation.
+        if deadline_ms is not None:
+            read(DEADLINE_MS, deadline_ms, "Engine")
+        read(MAX_STEPS, max_steps, "Engine")
         #: The artifact store (an empty store is falsy, so test for
         #: ``None``).
         self.store = (
@@ -195,7 +193,7 @@ class Engine:
     def _effective_deadline_ms(self) -> Optional[float]:
         if self.deadline_ms is not None:
             return self.deadline_ms
-        return deadline_from_env()
+        return read(DEADLINE_MS)
 
     @contextmanager
     def _guard_scope(self) -> Iterator[None]:

@@ -69,6 +69,7 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.keys import ArtifactKey
+from repro.settings import MAX_ENTRIES, read
 
 __all__ = [
     "ArtifactKey",
@@ -159,7 +160,7 @@ class _InFlight:
 class ArtifactStore:
     """LRU + pluggable persistence backend, keyed by fingerprints."""
 
-    max_entries: int = 256
+    max_entries: int = MAX_ENTRIES.default
     #: The persistence tier, with its own retry and backoff settings;
     #: ``None`` resolves from the environment (and stays ``None`` for
     #: memory-only stores).  An explicit backend pins persistence to it
@@ -189,9 +190,7 @@ class ArtifactStore:
     _backend_open_error: str = field(default="", repr=False)
 
     def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            # reprolint: disable=RL001 -- argument validation on the public capacity knob; stdlib idiom
-            raise ValueError("max_entries must be positive")
+        read(MAX_ENTRIES, self.max_entries, "ArtifactStore")
         if self.backend is None:
             # May raise BackendConfigError -- eagerly, on purpose: a
             # typo'd selection knob must not silently disable
@@ -445,9 +444,6 @@ class ArtifactStore:
                                           io_retries, persist_failures}}},
              "leases":  {kind: {lease_waits, lease_takeovers,
                                 lease_timeouts}}}
-
-        (The pre-PR-7 flat per-kind aliases -- ``stats()["space"]`` and
-        friends -- are gone; every reader addresses a namespace.)
 
         Taken under the store lock, so a concurrent reader sees a
         consistent point-in-time view -- never a half-updated counter

@@ -17,6 +17,8 @@ still being able to distinguish the important cases:
 
 from __future__ import annotations
 
+import argparse
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
@@ -134,6 +136,13 @@ class NotABooleanAlgebraError(ReproError):
     """A candidate element set fails the Boolean algebra axioms."""
 
 
+class ConfigError(ReproError, ValueError, argparse.ArgumentTypeError):
+    """A ``REPRO_*`` variable, CLI flag or constructor limit does not
+    parse, is NaN or lies outside its range (see :mod:`repro.settings`).
+    Also an ``ArgumentTypeError``: a flag whose ``type=`` is the reader
+    refuses with this message as argparse's usage error."""
+
+
 class ResilienceError(ReproError):
     """Base class for the fail-closed resilience layer's typed failures.
 
@@ -159,13 +168,6 @@ class BackendUnavailableError(BackendError):
     """A configured backend failed to open (unreachable file, corrupt
     database, injected fault).  The store absorbs it by degrading to
     memory-only operation."""
-
-
-class DeadlineConfigError(ResilienceError, ValueError):
-    """A deadline or step budget (``REPRO_DEADLINE_MS``,
-    ``Engine(deadline_ms=...)``, ``Engine(max_steps=...)``) is not a
-    number at least 0.  Raised eagerly: a typo'd or NaN deadline must
-    not silently mean "no deadline"."""
 
 
 class DeadlineExceededError(ResilienceError):

@@ -29,32 +29,43 @@ repro.serving``) with the threaded load generator (``--clients``,
 ``--duration`` seconds, optional ``--deadline`` ms per request) and
 prints the JSON :class:`~repro.serving.client.LoadReport`.
 
-Any other ``--`` argument is rejected with exit status 2, as an unknown
-experiment id is, rather than silently dropped; so is a numeric flag
-whose value is not a number (``--workers=x``), naming the flag and the
-type it takes, or lies outside its range (``--clients=0``), naming the
-flag and the range: ``--workers`` and ``--clients`` take at least 1,
-``--deadline`` at least 0, ``--duration`` more than 0, ``--port`` 1 to
-65535.
+Unknown experiment ids exit with status 2.  So does any other ``--``
+argument, or a numeric flag that does not parse or lies outside its
+range (``--workers=x``, ``--clients=0``; see :mod:`repro.settings`),
+as argparse's usage error naming the flag, the value and the range;
+and so does a ``REPRO_*`` variable out of range, as one
+``configuration error`` line.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 
 from repro.engine.backends import create_backend
 from repro.engine.engine import Engine
 from repro.errors import (
     BackendConfigError,
-    DeadlineConfigError,
+    ConfigError,
     DeadlineExceededError,
     ReproError,
 )
-from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
-from repro.resilience.guard import deadline_from_env
+from repro.harness.experiments import (
+    ALL_EXPERIMENTS,
+    render_observation,
+    run_experiment,
+)
+from repro.settings import (
+    CLIENTS,
+    DEADLINE_MS,
+    DURATION_S,
+    PEER_PORT,
+    WORKERS,
+    flag,
+    read,
+)
 
 
 def _markdown(results) -> str:
@@ -68,7 +79,7 @@ def _markdown(results) -> str:
         lines.append(f"**Measured** ({status}, {elapsed:.2f}s):")
         lines.append("")
         for key, value in result.observations:
-            lines.append(f"- {key}: `{value}`")
+            lines.append(f"- {key}: `{render_observation(value)}`")
         lines.append("")
     return "\n".join(lines)
 
@@ -134,96 +145,69 @@ def _stats_report(engine: Engine) -> str:
     return "\n".join(lines)
 
 
-#: Every flag :func:`main` reads; those ending in ``=`` take a value.
-_FLAGS = (
-    "--markdown",
-    "--stats",
-    "--load-gen",
-    "--deadline=",
-    "--workers=",
-    "--backend=",
-    "--store-url=",
-    "--port=",
-    "--host=",
-    "--clients=",
-    "--duration=",
-)
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness",
+        description="Run the paper's experiments and print the report.",
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "experiments", nargs="*", metavar="ID", help="default: all"
+    )
+    parser.add_argument(
+        "--markdown", action="store_true", help="EXPERIMENTS.md format"
+    )
+    parser.add_argument(
+        "--stats", action="store_true", help="engine cache counters"
+    )
+    parser.add_argument(
+        "--load-gen",
+        action="store_true",
+        help="drive the update server at --host and --port instead",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=flag(DEADLINE_MS),
+        metavar="MS",
+        help="per derivation, or per request with --load-gen",
+    )
+    parser.add_argument(
+        "--workers", type=flag(WORKERS), default=WORKERS.default
+    )
+    parser.add_argument("--backend", help="local, sqlite or remote")
+    parser.add_argument("--store-url", default="")
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=flag(PEER_PORT))
+    parser.add_argument(
+        "--clients", type=flag(CLIENTS), default=CLIENTS.default
+    )
+    parser.add_argument(
+        "--duration",
+        type=flag(DURATION_S),
+        default=DURATION_S.default,
+        metavar="SECONDS",
+    )
+    return parser
 
 
-def _unknown_flags(argv: list[str]) -> list[str]:
-    """The ``--`` arguments that name no flag in :data:`_FLAGS`."""
-    unknown: list[str] = []
-    for arg in argv:
-        name, equals, _value = arg.partition("=")
-        if arg.startswith("--") and name + equals not in _FLAGS:
-            unknown.append(arg)
-    return unknown
-
-
-#: The flags whose value is a number: its type and how to name it, then
-#: a test of the values it admits and how to name them.
-_NUMERIC_FLAGS: dict[str, tuple[type, str, Callable[[float], bool], str]] = {
-    "deadline": (
-        float,
-        "a number of milliseconds",
-        lambda v: v >= 0,
-        "at least 0",
-    ),
-    "workers": (int, "an integer", lambda v: v >= 1, "at least 1"),
-    "port": (int, "an integer", lambda v: 1 <= v <= 65535, "1 to 65535"),
-    "clients": (int, "an integer", lambda v: v >= 1, "at least 1"),
-    "duration": (float, "a number of seconds", lambda v: v > 0, "above 0"),
-}
-
-
-def _flag_value(argv: list[str], name: str) -> str | None:
-    prefix = f"--{name}="
-    for arg in argv:
-        if arg.startswith(prefix):
-            return arg.split("=", 1)[1]
-    return None
-
-
-def _numbers(argv: list[str]) -> tuple[dict[str, float], list[str]]:
-    """The numeric flags given, converted, and one complaint for each
-    value that does not convert (the flag and the type it takes) or
-    lies outside the flag's range (the flag and the range)."""
-    values: dict[str, float] = {}
-    malformed: list[str] = []
-    for name, (kind, expected, admits, bounds) in _NUMERIC_FLAGS.items():
-        raw = _flag_value(argv, name)
-        if raw is None:
-            continue
-        try:
-            value = kind(raw)
-        except ValueError:
-            malformed.append(f"--{name}={raw} (expected {expected})")
-            continue
-        if admits(value):
-            values[name] = value
-        else:
-            malformed.append(f"--{name}={raw} (expected {bounds})")
-    return values, malformed
-
-
-def _load_gen(argv: list[str], numbers: dict[str, float]) -> int:
+def _load_gen(args: argparse.Namespace) -> int:
     """Drive a running update server and print the load report."""
     import json
 
     from repro.serving.client import run_load
     from repro.serving.service import chain_service
 
-    if "port" not in numbers:
+    if args.port is None:
         print("--load-gen requires --port=<running server's port>")
         return 2
     try:
         report = run_load(
-            _flag_value(argv, "host") or "127.0.0.1",
-            int(numbers["port"]),
+            args.host,
+            args.port,
             chain_service().sample_requests,
-            clients=int(numbers.get("clients", 4)),
-            duration_s=numbers.get("duration", 3.0),
-            deadline_ms=numbers.get("deadline"),
+            clients=args.clients,
+            duration_s=args.duration,
+            deadline_ms=args.deadline,
         )
     except ReproError as exc:
         print(f"load generator failed: {exc}")
@@ -244,56 +228,49 @@ def _run_one(experiment_id: str, engine: Engine):
 
 
 def main(argv: list[str]) -> int:
-    """Run the requested experiments (all by default)."""
-    unknown_flags = _unknown_flags(argv)
-    if unknown_flags:
-        print(f"unknown flag(s): {', '.join(unknown_flags)}")
-        print(f"known flags: {', '.join(_FLAGS)}")
-        return 2
-    numbers, malformed = _numbers(argv)
-    if malformed:
-        print(f"malformed flag value(s): {', '.join(malformed)}")
-        return 2
-    if "--load-gen" in argv:
-        return _load_gen(argv, numbers)
-    markdown = "--markdown" in argv
-    show_stats = "--stats" in argv
-    deadline_ms = numbers.get("deadline")
-    workers = int(numbers.get("workers", 1))
-    requested = [a for a in argv if not a.startswith("--")] or list(
-        ALL_EXPERIMENTS
-    )
+    """Run the requested experiments (all by default).
+
+    A flag argparse refuses -- unknown, or a value outside its range --
+    exits with status 2 through argparse's usage error.
+    """
+    args = _parser().parse_intermixed_args(argv)
+    if args.load_gen:
+        return _load_gen(args)
+    requested = args.experiments or list(ALL_EXPERIMENTS)
     unknown = [a for a in requested if a.upper() not in ALL_EXPERIMENTS]
     if unknown:
         known = ", ".join(ALL_EXPERIMENTS)
         print(f"unknown experiment(s): {', '.join(unknown)}")
         print(f"known experiments: {known}")
         return 2
-    backend_name = _flag_value(argv, "backend")
+    try:
+        deadline_ms = read(DEADLINE_MS, args.deadline)
+    except ConfigError as exc:
+        print(f"deadline configuration error: {exc}")
+        return 2
     try:
         backend = (
-            create_backend(backend_name, _flag_value(argv, "store-url") or "")
-            if backend_name is not None
+            create_backend(args.backend, args.store_url)
+            if args.backend is not None
             else None
         )
+        engine = Engine(deadline_ms=deadline_ms, backend=backend)
+        if args.workers == 1:
+            outcomes = [_run_one(eid, engine) for eid in requested]
+        else:
+            with ThreadPoolExecutor(max_workers=args.workers) as pool:
+                futures = [
+                    pool.submit(_run_one, eid, engine) for eid in requested
+                ]
+                outcomes = [future.result() for future in futures]
     except BackendConfigError as exc:
         print(f"backend configuration error: {exc}")
         return 2
-    if deadline_ms is None:
-        try:
-            deadline_ms = deadline_from_env()
-        except DeadlineConfigError as exc:
-            print(f"deadline configuration error: {exc}")
-            return 2
-    engine = Engine(deadline_ms=deadline_ms, backend=backend)
-    if workers == 1:
-        outcomes = [_run_one(eid, engine) for eid in requested]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, eid, engine) for eid in requested
-            ]
-            outcomes = [future.result() for future in futures]
+    except ConfigError as exc:
+        # A knob read as the engine is built or runs: the breaker's,
+        # the lease TTL, the remote backend's timeout.
+        print(f"configuration error: {exc}")
+        return 2
     failures = 0
     results = []
     for experiment_id, (result, elapsed, error) in zip(requested, outcomes):
@@ -304,18 +281,18 @@ def main(argv: list[str]) -> int:
             failures += 1
             continue
         results.append((result, elapsed))
-        if not markdown:
+        if not args.markdown:
             print(result.summary())
             print(f"  elapsed: {elapsed:.2f}s")
             print()
         if not result.passed:
             failures += 1
-    if markdown:
+    if args.markdown:
         print(_markdown(results))
-        if show_stats:
+        if args.stats:
             print(_stats_report(engine))
         return 1 if failures else 0
-    if show_stats:
+    if args.stats:
         print(_stats_report(engine))
         print()
     if failures:

@@ -49,6 +49,16 @@ from repro.workloads.scenarios import (
 )
 
 
+def render_observation(value: object) -> str:
+    """*value* as the report prints it: ``str(value)``, but a set's
+    members in sorted order, so the report does not change with the
+    per-process string hash."""
+    if isinstance(value, (set, frozenset)) and value:
+        members = "{" + ", ".join(sorted(map(repr, value))) + "}"
+        return members if isinstance(value, set) else f"frozenset({members})"
+    return str(value)
+
+
 @dataclass
 class ExperimentResult:
     """Outcome of one experiment."""
@@ -78,7 +88,7 @@ class ExperimentResult:
             f"  claim: {self.paper_claim}",
         ]
         for key, value in self.observations:
-            lines.append(f"  {key}: {value}")
+            lines.append(f"  {key}: {render_observation(value)}")
         return "\n".join(lines)
 
 

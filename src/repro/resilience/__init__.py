@@ -58,15 +58,9 @@ from repro.resilience.locks import (
     lock_ttl_ms,
     sweep_stale_temp_files,
 )
-from repro.resilience.breaker import (
-    BREAKER_COOLDOWN_ENV_VAR,
-    BREAKER_THRESHOLD_ENV_VAR,
-    CircuitBreaker,
-)
+from repro.resilience.breaker import CircuitBreaker
 
 __all__ = [
-    "BREAKER_COOLDOWN_ENV_VAR",
-    "BREAKER_THRESHOLD_ENV_VAR",
     "CORRUPT",
     "CircuitBreaker",
     "DEADLINE_ENV_VAR",

@@ -34,33 +34,22 @@ state machine is thread-safe and unit-testable without sleeping.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import CircuitOpenError
+from repro.settings import BREAKER_COOLDOWN_MS, BREAKER_THRESHOLD, read
 
 __all__ = [
     "ALLOW",
-    "BREAKER_COOLDOWN_ENV_VAR",
-    "BREAKER_THRESHOLD_ENV_VAR",
     "CLOSED",
     "CircuitBreaker",
-    "DEFAULT_COOLDOWN_MS",
-    "DEFAULT_THRESHOLD",
     "HALF_OPEN",
     "OPEN",
     "PROBE",
 ]
-
-#: Environment settings for engines built without an explicit breaker.
-BREAKER_THRESHOLD_ENV_VAR = "REPRO_BREAKER_THRESHOLD"
-BREAKER_COOLDOWN_ENV_VAR = "REPRO_BREAKER_COOLDOWN_MS"
-
-DEFAULT_THRESHOLD = 3
-DEFAULT_COOLDOWN_MS = 30_000.0
 
 #: Circuit states (as reported by :meth:`CircuitBreaker.snapshot`).
 CLOSED = "closed"
@@ -88,18 +77,14 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        threshold: int = DEFAULT_THRESHOLD,
-        cooldown_ms: float = DEFAULT_COOLDOWN_MS,
+        threshold: int = BREAKER_THRESHOLD.default,
+        cooldown_ms: float = BREAKER_COOLDOWN_MS.default,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if threshold < 1:
-            # reprolint: disable=RL001 -- constructor validation of breaker knobs; asserted by tests/resilience/test_breaker.py
-            raise ValueError("threshold must be positive")
-        if cooldown_ms < 0:
-            # reprolint: disable=RL001 -- constructor validation of breaker knobs; asserted by tests/resilience/test_breaker.py
-            raise ValueError("cooldown_ms must be non-negative")
-        self.threshold = threshold
-        self.cooldown_ms = cooldown_ms
+        self.threshold = read(BREAKER_THRESHOLD, threshold, "CircuitBreaker")
+        self.cooldown_ms = read(
+            BREAKER_COOLDOWN_MS, cooldown_ms, "CircuitBreaker"
+        )
         self._clock = clock
         self._lock = threading.RLock()
         self._states: Dict[Tuple[str, str], _DerivationState] = {}
@@ -108,22 +93,9 @@ class CircuitBreaker:
     @classmethod
     def from_env(cls) -> "CircuitBreaker":
         """A breaker from the ``REPRO_BREAKER_*`` environment variables,
-        falling back to the defaults.
-
-        Malformed values raise eagerly (a typo'd threshold must not
-        silently mean "default threshold").
-        """
-        raw = os.environ.get(BREAKER_THRESHOLD_ENV_VAR)
-        threshold = (
-            DEFAULT_THRESHOLD if raw is None or not raw.strip() else int(raw)
-        )
-        raw = os.environ.get(BREAKER_COOLDOWN_ENV_VAR)
-        cooldown_ms = (
-            DEFAULT_COOLDOWN_MS
-            if raw is None or not raw.strip()
-            else float(raw)
-        )
-        return cls(threshold=threshold, cooldown_ms=cooldown_ms)
+        falling back to the defaults; a value out of range is a
+        :class:`~repro.errors.ConfigError`."""
+        return cls(read(BREAKER_THRESHOLD), read(BREAKER_COOLDOWN_MS))
 
     # -- admission ------------------------------------------------------------
 

@@ -25,13 +25,14 @@ into a structured outcome or a typed error before it reaches a caller.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from contextlib import contextmanager
+
+from repro.settings import FAULT_SEED, read
 
 __all__ = [
     "CORRUPT",
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 #: Environment variable enabling the light background plan.
-FAULT_SEED_ENV_VAR = "REPRO_FAULT_SEED"
+FAULT_SEED_ENV_VAR = FAULT_SEED.env
 
 #: Every named fault point a call site consults.  The chaos suite
 #: parametrises over this registry, so adding a call site without
@@ -255,10 +256,8 @@ def fault_corrupt(point: str, data: bytes) -> bytes:
 
 
 def _plan_from_env() -> Optional[FaultPlan]:
-    raw = os.environ.get(FAULT_SEED_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    return FaultPlan.light(int(raw))
+    seed = read(FAULT_SEED)
+    return None if seed is None else FaultPlan.light(seed)
 
 
 # Read once at import: the environment plan is a process-lifetime

@@ -16,18 +16,19 @@ Guards are installed per :class:`~threading.Thread` via the
 unguarded fast path costs one thread-local read per loop).  The
 ``REPRO_DEADLINE_MS`` environment variable supplies a default deadline
 for engine-driven derivations; ``Engine(deadline_ms=...)`` and the
-harness ``--deadline`` flag override it per engine / per run.
+harness ``--deadline`` flag override it per engine / per run.  All
+three are read through :func:`repro.settings.read`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from repro.errors import DeadlineConfigError, DeadlineExceededError
+from repro.errors import DeadlineExceededError
+from repro.settings import DEADLINE_MS, MAX_STEPS, read
 
 __all__ = [
     "DEADLINE_ENV_VAR",
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 #: Environment variable supplying a default wall-clock deadline (ms).
-DEADLINE_ENV_VAR = "REPRO_DEADLINE_MS"
+DEADLINE_ENV_VAR = DEADLINE_MS.env
 
 #: Wall-clock checks happen every this many ticks; step-budget checks
 #: happen on every tick (they are one integer comparison).
@@ -50,7 +51,8 @@ class ExecutionGuard:
 
     ``deadline_ms`` bounds elapsed wall-clock time from construction;
     ``max_steps`` bounds the number of cooperative :meth:`tick` steps.
-    Either may be ``None`` (unlimited).  The clock is only consulted
+    Either may be ``None`` (unlimited); a limit below 0 or NaN is a
+    :class:`~repro.errors.ConfigError`.  The clock is only consulted
     every ``_CLOCK_CHECK_EVERY`` ticks, so a tick on the unexpired path
     is a couple of integer operations.
     """
@@ -71,12 +73,12 @@ class ExecutionGuard:
         max_steps: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if deadline_ms is not None and deadline_ms < 0:
-            # reprolint: disable=RL001 -- constructor validation of guard budgets; asserted by tests/resilience/test_guard.py
-            raise ValueError("deadline_ms must be non-negative")
-        if max_steps is not None and max_steps < 0:
-            # reprolint: disable=RL001 -- constructor validation of guard budgets; asserted by tests/resilience/test_guard.py
-            raise ValueError("max_steps must be non-negative")
+        # Every served request with a deadline builds a guard, so the
+        # limits are compared here and the reader only words a refusal.
+        if deadline_ms is not None and not deadline_ms >= 0:
+            read(DEADLINE_MS, deadline_ms, "ExecutionGuard")
+        if max_steps is not None and not max_steps >= 0:
+            read(MAX_STEPS, max_steps, "ExecutionGuard")
         self.deadline_ms = deadline_ms
         self.max_steps = max_steps
         self.steps = 0
@@ -184,21 +186,6 @@ def guarded(guard: Optional[ExecutionGuard]) -> Iterator[
 
 
 def deadline_from_env() -> Optional[float]:
-    """The ``REPRO_DEADLINE_MS`` value as a float, or ``None``.
-
-    A value that is not a number at least 0 raises
-    :class:`~repro.errors.DeadlineConfigError` eagerly rather than being
-    silently ignored -- a typo'd deadline must not mean "no deadline".
-    """
-    raw = os.environ.get(DEADLINE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = float("nan")
-    if not value >= 0:
-        raise DeadlineConfigError(
-            f"{DEADLINE_ENV_VAR}={raw!r}: expected a number at least 0"
-        )
-    return value
+    """The ``REPRO_DEADLINE_MS`` value, or ``None`` when it is unset;
+    one that is not a number at least 0 is a ``ConfigError``."""
+    return read(DEADLINE_MS)

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.resilience.faults import fault_check
+from repro.settings import CACHE_LOCK_TTL_MS, read
 
 __all__ = [
     "DEFAULT_LOCK_TTL_MS",
@@ -54,10 +55,10 @@ __all__ = [
 ]
 
 #: Environment variable overriding the stale-lease TTL (milliseconds).
-LOCK_TTL_ENV_VAR = "REPRO_CACHE_LOCK_TTL_MS"
+LOCK_TTL_ENV_VAR = CACHE_LOCK_TTL_MS.env
 
 #: Default TTL: a holder silent for this long is presumed dead.
-DEFAULT_LOCK_TTL_MS = 30_000.0
+DEFAULT_LOCK_TTL_MS = CACHE_LOCK_TTL_MS.default
 
 #: Per-wait sleep ceiling (seconds); backoff doubles up to this cap so
 #: waiters notice a released lease promptly without busy-spinning.
@@ -65,15 +66,9 @@ _MAX_SLEEP = 0.1
 
 
 def lock_ttl_ms() -> float:
-    """The stale-lease TTL in milliseconds (env override or default).
-
-    A malformed value raises ``ValueError`` eagerly -- a typo'd TTL must
-    not silently mean "default TTL".
-    """
-    raw = os.environ.get(LOCK_TTL_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_LOCK_TTL_MS
-    return float(raw)
+    """The stale-lease TTL in milliseconds (env override or default);
+    one that is not a number, or NaN, is a ``ConfigError``."""
+    return read(CACHE_LOCK_TTL_MS)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -111,7 +106,7 @@ class FileLease:
     ) -> None:
         self.target = Path(target)
         self.path = self.target.parent / f"{self.target.name}.lock"
-        self.ttl_ms = lock_ttl_ms() if ttl_ms is None else ttl_ms
+        self.ttl_ms = read(CACHE_LOCK_TTL_MS, ttl_ms, "FileLease")
         self.backoff = backoff
         #: How long to wait behind a live holder before giving up and
         #: building unleased; defaults to one TTL (after which the

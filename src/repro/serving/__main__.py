@@ -15,8 +15,9 @@ is a cache hit.  A sibling that dies before publishing exits this
 process with a typed message and status 3 -- never a traceback.
 
 Exit status: 0 after a graceful drain, 1 when the drain deadline
-expired with work still running, 2 for bad usage, 3 for a failed
-warm start.
+expired with work still running, 2 for bad usage (argparse's usage
+error) or a knob out of range (one ``configuration error`` line on
+stderr), 3 for a failed warm start.
 """
 
 from __future__ import annotations
@@ -30,10 +31,18 @@ from typing import List, Optional
 
 from repro.engine.backends import SQLiteBackend
 from repro.engine.engine import Engine
-from repro.errors import WarmStartError
+from repro.errors import ConfigError, WarmStartError
 from repro.serving.server import UpdateServer
 from repro.serving.service import chain_service
 from repro.serving.warmstart import sibling_warm_start
+from repro.settings import (
+    PORT,
+    SERVER_DEADLINE_MS,
+    SERVER_DRAIN_MS,
+    SERVER_MAX_INFLIGHT,
+    SERVER_QUEUE_DEPTH,
+    flag,
+)
 
 __all__ = ["main"]
 
@@ -46,29 +55,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int, default=0, help="0 picks a free port"
+        "--port", type=flag(PORT), default=0, help="0 picks a free port"
     )
     parser.add_argument(
         "--max-inflight",
-        type=int,
+        type=flag(SERVER_MAX_INFLIGHT),
         default=None,
         help="concurrency tokens (default: REPRO_SERVER_MAX_INFLIGHT)",
     )
     parser.add_argument(
         "--queue-depth",
-        type=int,
+        type=flag(SERVER_QUEUE_DEPTH),
         default=None,
         help="per-priority queue bound (default: REPRO_SERVER_QUEUE_DEPTH)",
     )
     parser.add_argument(
         "--drain-ms",
-        type=float,
+        type=flag(SERVER_DRAIN_MS),
         default=None,
         help="graceful-drain budget (default: REPRO_SERVER_DRAIN_MS)",
     )
     parser.add_argument(
         "--deadline-ms",
-        type=float,
+        type=flag(SERVER_DEADLINE_MS),
         default=None,
         help="default per-request deadline (default:"
         " REPRO_SERVER_DEADLINE_MS)",
@@ -133,12 +142,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         except WarmStartError as exc:
             print(f"warm start failed: {exc}", file=sys.stderr)
             return 3
-    engine = (
-        Engine(backend=SQLiteBackend(store_url))
-        if store_url is not None
-        else None
-    )
-    return asyncio.run(_serve(args, engine))
+    try:
+        engine = (
+            Engine(backend=SQLiteBackend(store_url))
+            if store_url is not None
+            else None
+        )
+        return asyncio.run(_serve(args, engine))
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ work happens:
   failure), with the breaker's own retry hint.
 
 Concurrency is bounded by a token bucket of ``max_inflight`` tokens
-(:data:`~repro.serving.config.SERVER_MAX_INFLIGHT_ENV_VAR`): the server
+(``REPRO_SERVER_MAX_INFLIGHT``): the server
 runs exactly one worker task per token, so at most ``max_inflight``
 updates occupy the executor at once and everything else waits in the
 bounded queues -- queue depth, not memory growth, is the only backlog.
@@ -48,8 +48,8 @@ from repro.errors import (
 )
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_check
-from repro.serving.config import server_max_inflight, server_queue_depth
 from repro.serving.protocol import PRIORITIES, UpdateRequest
+from repro.settings import SERVER_MAX_INFLIGHT, SERVER_QUEUE_DEPTH, read
 
 __all__ = [
     "AdmissionController",
@@ -98,9 +98,13 @@ class AdmissionController:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         #: The token-bucket size; the server runs one worker per token.
-        self.max_inflight = server_max_inflight(max_inflight)
+        self.max_inflight = read(
+            SERVER_MAX_INFLIGHT, max_inflight, "AdmissionController"
+        )
         #: The bound of each priority queue.
-        self.queue_depth = server_queue_depth(queue_depth)
+        self.queue_depth = read(
+            SERVER_QUEUE_DEPTH, queue_depth, "AdmissionController"
+        )
         self._breaker = breaker
         self._clock = clock
         self._queues: Dict[str, Deque[Ticket]] = {

@@ -155,7 +155,8 @@ def parse_update_request(
         )
     deadline_ms = data.get("deadline_ms")
     if deadline_ms is not None:
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+        # ``not > 0`` also refuses NaN, which Python's json reads.
+        if not isinstance(deadline_ms, (int, float)) or not deadline_ms > 0:
             raise RequestProtocolError(
                 "deadline_ms must be a positive number"
             )

@@ -51,15 +51,16 @@ from repro.errors import (
 )
 from repro.resilience.faults import fault_check
 from repro.serving.admission import AdmissionController, Ticket
-from repro.serving.config import (
-    server_deadline_ms,
-    server_drain_ms,
-    server_max_inflight,
-    server_queue_depth,
-)
 from repro.serving.protocol import outcome_to_wire, parse_update_request
 from repro.serving.service import ServiceSpec
 from repro.serving.session import AsyncSession
+from repro.settings import (
+    SERVER_DEADLINE_MS,
+    SERVER_DRAIN_MS,
+    SERVER_MAX_INFLIGHT,
+    SERVER_QUEUE_DEPTH,
+    read,
+)
 
 __all__ = ["Reply", "UpdateServer"]
 
@@ -120,6 +121,16 @@ class UpdateServer:
         drain_ms: Optional[float] = None,
         deadline_ms: Optional[float] = None,
     ) -> None:
+        self.max_inflight = read(
+            SERVER_MAX_INFLIGHT, max_inflight, "UpdateServer"
+        )
+        self.queue_depth = read(
+            SERVER_QUEUE_DEPTH, queue_depth, "UpdateServer"
+        )
+        self.drain_ms = read(SERVER_DRAIN_MS, drain_ms, "UpdateServer")
+        self.default_deadline_ms = read(
+            SERVER_DEADLINE_MS, deadline_ms, "UpdateServer"
+        )
         self.spec = spec
         #: Declared arities, so an empty relation on the wire decodes
         #: as the empty relation of its schema (base) or view (target).
@@ -130,10 +141,6 @@ class UpdateServer:
         self.engine = engine if engine is not None else Engine()
         self.host = host
         self.port = port
-        self.max_inflight = server_max_inflight(max_inflight)
-        self.queue_depth = server_queue_depth(queue_depth)
-        self.drain_ms = server_drain_ms(drain_ms)
-        self.default_deadline_ms = server_deadline_ms(deadline_ms)
         self.controller = AdmissionController(
             max_inflight=self.max_inflight,
             queue_depth=self.queue_depth,

@@ -30,7 +30,7 @@ from repro.errors import DeadlineExceededError, ServingError
 from repro.relational.instances import DatabaseInstance
 from repro.relational.schema import Schema
 from repro.resilience.guard import ExecutionGuard, guarded
-from repro.serving.config import server_max_inflight
+from repro.settings import SERVER_MAX_INFLIGHT, read
 from repro.typealgebra.assignment import TypeAssignment
 from repro.views.view import View
 
@@ -58,7 +58,9 @@ class AsyncSession:
         self._space_source = space_source
         self._session: Optional[Session] = None
         self._executor = ThreadPoolExecutor(
-            max_workers=server_max_inflight(max_workers),
+            max_workers=read(
+                SERVER_MAX_INFLIGHT, max_workers, "AsyncSession"
+            ),
             thread_name_prefix="repro-serving",
         )
 

@@ -42,13 +42,33 @@ class TestMain:
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["E999"]) == 2
 
+    @staticmethod
+    def _refused(capsys, argv):
+        """Run *argv*, which argparse must refuse: exit status 2 and the
+        usage error on stderr, with no experiment output."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "[E1]" not in captured.out
+        assert "serviced" not in captured.out
+        return captured.err
+
+    @classmethod
+    def _refused_value(cls, capsys, argv, expected):
+        """*expected* reads ``--flag=raw (expected what)``: stderr names
+        the flag, the raw value and what the flag admits."""
+        err = cls._refused(capsys, argv)
+        flag_raw, _, admits = expected.partition(" (expected ")
+        flag, _, raw = flag_raw.partition("=")
+        assert f"argument {flag}: {raw!r}: expected " in err
+        assert admits.rstrip(")") in err
+
     @pytest.mark.parametrize("flag", ["--serve", "--stat"])
     def test_unknown_flag_rejected(self, capsys, flag):
-        assert main([flag, "E1"]) == 2
-        captured = capsys.readouterr().out
-        assert f"unknown flag(s): {flag}" in captured
-        assert "--stats" in captured
-        assert "[E1]" not in captured
+        err = self._refused(capsys, [flag, "E1"])
+        assert f"unrecognized arguments: {flag}" in err
+        assert "--stats" in err
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -57,7 +77,7 @@ class TestMain:
             (["--workers=", "E1"], "--workers= (expected an integer)"),
             (
                 ["--deadline=soon", "E1"],
-                "--deadline=soon (expected a number of milliseconds)",
+                "--deadline=soon (expected a number at least 0)",
             ),
             (
                 ["--load-gen", "--port=http"],
@@ -69,15 +89,12 @@ class TestMain:
             ),
             (
                 ["--load-gen", "--port=1", "--duration=long"],
-                "--duration=long (expected a number of seconds)",
+                "--duration=long (expected a number above 0)",
             ),
         ],
     )
     def test_malformed_flag_value_rejected(self, capsys, argv, expected):
-        assert main(argv) == 2
-        captured = capsys.readouterr().out
-        assert f"malformed flag value(s): {expected}" in captured
-        assert "[E1]" not in captured
+        self._refused_value(capsys, argv, expected)
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -92,8 +109,7 @@ class TestMain:
             ),
             (
                 ["--load-gen", "--port=1", "--clients=-2", "--duration=-1"],
-                "--clients=-2 (expected at least 1),"
-                " --duration=-1 (expected above 0)",
+                "--clients=-2 (expected at least 1)",
             ),
             (
                 ["--load-gen", "--port=1", "--duration=0"],
@@ -110,11 +126,7 @@ class TestMain:
         ],
     )
     def test_out_of_range_flag_value_rejected(self, capsys, argv, expected):
-        assert main(argv) == 2
-        captured = capsys.readouterr().out
-        assert f"malformed flag value(s): {expected}\n" in captured
-        assert "[E1]" not in captured
-        assert "serviced" not in captured
+        self._refused_value(capsys, argv, expected)
 
     @pytest.mark.parametrize("raw", ["-5", "nan", "soon"])
     def test_bad_environment_deadline_is_one_line(

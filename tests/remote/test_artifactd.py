@@ -11,7 +11,10 @@ import http.client
 import json
 import time
 
+import pytest
+
 from repro.artifactd import ArtifactServer, LeaseTable
+from repro.artifactd.__main__ import main
 from repro.artifactd.server import _MAX_ENVELOPE_BYTES
 from repro.engine.backends.envelope import wrap_payload
 
@@ -210,3 +213,14 @@ class TestRootMirror:
         assert status == 404
         assert purged == 1
         assert not mirror_file.exists()
+
+
+def test_cli_refuses_a_port_out_of_range(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--port=70000"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert (
+        "argument --port: '70000': expected an integer from 0 to 65535"
+    ) in err
+    assert "Traceback" not in err

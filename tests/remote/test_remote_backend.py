@@ -23,7 +23,7 @@ from repro.engine.backends import (
 from repro.engine.backends.base import Lease
 from repro.engine.backends.envelope import wrap_payload
 from repro.engine.store import ArtifactKey, ArtifactStore
-from repro.errors import BackendUnavailableError
+from repro.errors import BackendUnavailableError, ConfigError
 from repro.resilience.faults import FaultPlan, FaultRule, RAISE, inject
 
 from tests.remote.conftest import make_remote
@@ -97,6 +97,13 @@ class TestSelection:
         assert backend.url == artifactd.url
         assert backend.timeout_ms == 750.0
         assert backend.spill_dir == str(tmp_path)
+
+    @pytest.mark.parametrize("timeout_ms", [-5.0, 0.0, float("nan")])
+    def test_non_positive_timeout_refused(self, artifactd, timeout_ms):
+        """A timeout of -5 ms would make a live artifactd look
+        unreachable, so the store would silently run memory-only."""
+        with pytest.raises(ConfigError, match="RemoteBackend"):
+            RemoteBackend(artifactd.url, timeout_ms=timeout_ms)
 
     def test_create_backend_remote(self, artifactd):
         backend = create_backend("remote", artifactd.url)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.engine.engine import Engine
-from repro.errors import CircuitOpenError, KernelFailureError, ReproError
+from repro.errors import (
+    CircuitOpenError,
+    ConfigError,
+    KernelFailureError,
+    ReproError,
+)
 from repro.kernel.config import BULK, use_kernel
 from repro.resilience.breaker import (
     ALLOW,
@@ -182,6 +187,15 @@ class TestEnvKnobs:
     def test_malformed_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "several")
         with pytest.raises(ValueError):
+            CircuitBreaker.from_env()
+
+    def test_nan_cooldown_refused(self, monkeypatch):
+        """A NaN cooldown would keep an opened circuit open for ever."""
+        monkeypatch.delenv("REPRO_BREAKER_THRESHOLD", raising=False)
+        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN_MS", "nan")
+        with pytest.raises(
+            ConfigError, match="REPRO_BREAKER_COOLDOWN_MS='nan'"
+        ):
             CircuitBreaker.from_env()
 
 

@@ -1,6 +1,9 @@
 """Unit tests for :mod:`repro.resilience.faults`."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,31 @@ class TestInstallation:
         from repro.errors import ReproError
 
         assert not issubclass(InjectedFault, ReproError)
+
+
+class TestEnvironmentPlan:
+    def test_malformed_seed_is_refused_at_import(self):
+        """The seed is read once, at import: a typo'd one refuses the
+        import with a typed error naming the knob and the value."""
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if not name.startswith("REPRO_")
+        }
+        env["REPRO_FAULT_SEED"] = "x"
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", "import repro.resilience.faults"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert (
+            "repro.errors.ConfigError: REPRO_FAULT_SEED='x': "
+            "expected an integer"
+        ) in completed.stderr
 
 
 class TestLightPlan:

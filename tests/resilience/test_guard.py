@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import DeadlineExceededError, ReproError, ResilienceError
+from repro.errors import (
+    ConfigError,
+    DeadlineExceededError,
+    ReproError,
+    ResilienceError,
+)
 from repro.resilience.guard import (
     DEADLINE_ENV_VAR,
     _CLOCK_CHECK_EVERY,
@@ -103,6 +108,13 @@ class TestValidation:
     def test_negative_step_budget_rejected(self):
         with pytest.raises(ValueError):
             ExecutionGuard(max_steps=-1)
+
+    def test_nan_deadline_rejected(self):
+        """A NaN deadline would never expire."""
+        with pytest.raises(
+            ConfigError, match=r"ExecutionGuard\(deadline_ms=nan\)"
+        ):
+            ExecutionGuard(deadline_ms=float("nan"))
 
 
 class TestErrorType:

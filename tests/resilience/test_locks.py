@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.resilience.locks import (
     DEFAULT_LOCK_TTL_MS,
@@ -36,6 +37,14 @@ class TestKnobs:
         monkeypatch.setenv(LOCK_TTL_ENV_VAR, "soon")
         with pytest.raises(ValueError):
             lock_ttl_ms()
+
+    def test_nan_ttl_refused(self, monkeypatch, tmp_path):
+        """A NaN TTL would never let a live holder's lease expire."""
+        monkeypatch.setenv(LOCK_TTL_ENV_VAR, "nan")
+        with pytest.raises(
+            ConfigError, match="REPRO_CACHE_LOCK_TTL_MS='nan'"
+        ):
+            FileLease(tmp_path / "artifact.pkl")
 
     def test_non_positive_ttl_disables(self, monkeypatch, tmp_path):
         monkeypatch.setenv(LOCK_TTL_ENV_VAR, "-1")

@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.errors import (
+    ConfigError,
     ServerDrainingError,
     ServerOverloadedError,
 )
@@ -115,6 +116,17 @@ class TestBoundedQueues:
             return await controller.next_ticket()
 
         assert run(scenario()) == 5
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "limits", [{"queue_depth": 0}, {"max_inflight": 0}]
+    )
+    def test_limit_below_one_is_refused(self, limits):
+        """A queue of depth 0 would shed the first request on an empty
+        queue; no tokens would serve nothing."""
+        with pytest.raises(ConfigError, match="AdmissionController"):
+            AdmissionController(**limits)
 
 
 class TestRetryHints:

@@ -1,7 +1,10 @@
-"""``python -m repro.harness --load-gen`` and the server's warm-start exit."""
+"""``python -m repro.harness --load-gen``, the server's warm-start exit
+and its refusal of numeric flags out of range."""
 
 import asyncio
 import json
+
+import pytest
 
 from repro.harness.__main__ import main as harness_main
 from repro.serving.__main__ import main as serve_main
@@ -45,3 +48,34 @@ def test_serve_forwards_warm_url_failures_typed(capsys):
     # beneath it: the warm start fails typed and python -m
     # repro.serving exits 3 before ever binding a socket.
     assert serve_main(["--warm-url=/etc/passwd/x.db"]) == 3
+
+
+@pytest.mark.parametrize(
+    "flag, expected",
+    [
+        (
+            "--max-inflight=0",
+            "--max-inflight: '0': expected an integer at least 1",
+        ),
+        (
+            "--queue-depth=0",
+            "--queue-depth: '0': expected an integer at least 1",
+        ),
+        (
+            "--deadline-ms=-5",
+            "--deadline-ms: '-5': expected a number above 0",
+        ),
+        (
+            "--port=70000",
+            "--port: '70000': expected an integer from 0 to 65535",
+        ),
+    ],
+)
+def test_serve_refuses_a_flag_out_of_range(capsys, flag, expected):
+    with pytest.raises(SystemExit) as exited:
+        serve_main([flag])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {expected}\n" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -121,6 +121,7 @@ class TestRequestParsing:
             lambda wire: wire.update(priority="urgent"),
             lambda wire: wire.update(deadline_ms=-5),
             lambda wire: wire.update(deadline_ms="soon"),
+            lambda wire: wire.update(deadline_ms=float("nan")),
             lambda wire: wire.update(wait="yes"),
             lambda wire: wire.update(base="not an instance"),
         ],

@@ -10,6 +10,7 @@ use).  The SIGTERM contract is tested against a genuine
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import WarmStartError
+from repro.errors import ConfigError, WarmStartError
 from repro.resilience.faults import FaultPlan, FaultRule, inject
 from repro.serving.client import ServingClient, run_load
 from repro.serving.protocol import UpdateRequest, outcome_to_wire
@@ -516,6 +517,40 @@ class TestSigterm:
         assert report["graceful"] is True
         assert report["dropped_inflight"] == 0
         assert report["dropped_queued"] == 0
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize(
+        "knob, raw",
+        [("REPRO_SERVER_DEADLINE_MS", "-5"), ("REPRO_SERVER_DRAIN_MS", "nan")],
+    )
+    def test_bad_knob_refused_at_construction(
+        self, spec, monkeypatch, knob, raw
+    ):
+        """A default deadline of -5 ms would make every served update a
+        504, and a NaN drain budget would never run out."""
+        monkeypatch.setenv(knob, raw)
+        with pytest.raises(ConfigError, match=re.escape(f"{knob}={raw!r}")):
+            UpdateServer(spec)
+
+    def test_bad_knob_under_the_cli_is_one_line(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_SERVER_DRAIN_MS"] = "nan"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.serving", "--port=0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(tmp_path),
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr.splitlines() == [
+            "configuration error: REPRO_SERVER_DRAIN_MS='nan': "
+            "expected a number at least 0"
+        ]
 
 
 class TestWarmStart:
